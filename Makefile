@@ -9,15 +9,16 @@ build:
 
 # The gate every change must pass: vet, the custom analyzer suite (plus
 # its SARIF artifact), and the full tests under the race detector (the
-# pooled engine makes -race mandatory, not optional).
+# transport fleets, in-process and UDP, make -race mandatory, not
+# optional).
 check: vet lint sarif test-race
 
 vet:
 	go vet ./...
 
-# flvet enforces the determinism, CONGEST, shard-locality, and
+# flvet enforces the determinism, CONGEST, single-goroutine engine, and
 # memory-layout contracts statically: six syntactic analyzers plus the
-# dataflow suite (bitbudget, shardlocal, dettaint) — see DESIGN.md
+# dataflow suite (bitbudget, dettaint) — see DESIGN.md
 # "Static contracts". The committed baseline grandfathers known debt
 # (currently empty); new findings still fail. cmd/flvet's own tests run
 # the same suite, so `make test` regresses too if an analyzer fires.

@@ -96,20 +96,6 @@ func BenchmarkDistributedSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSolveParallel measures the goroutine-per-worker
-// engine on the same workload.
-func BenchmarkDistributedSolveParallel(b *testing.B) {
-	inst := benchInstance(b, 30, 150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Solve(inst, core.Config{K: 16},
-			core.WithSeed(int64(i)), core.WithParallel(true)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSeqGreedy measures the sequential greedy baseline.
 func BenchmarkSeqGreedy(b *testing.B) {
 	inst := benchInstance(b, 30, 150)
@@ -178,30 +164,6 @@ func BenchmarkEngineRound(b *testing.B) {
 			nodes[j] = &broadcastNode{rounds: 20}
 		}
 		if _, err := congest.Run(g, nodes, congest.Config{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineRoundParallel is BenchmarkEngineRound on the persistent
-// worker pool (Workers = GOMAXPROCS).
-func BenchmarkEngineRoundParallel(b *testing.B) {
-	const n = 256
-	g := congest.NewGraph(n)
-	for u := 0; u < n; u++ {
-		for d := 1; d <= 4; d++ {
-			v := (u + d) % n
-			_ = g.AddEdge(u, v)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes := make([]congest.Node, n)
-		for j := range nodes {
-			nodes[j] = &broadcastNode{rounds: 20}
-		}
-		if _, err := congest.Run(g, nodes, congest.Config{Seed: int64(i), Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,7 @@
 //
 //	flbench [-exp all|E1..E16] [-quick] [-seed N] [-runs N] [-out DIR]
 //	        [-faults SPEC] [-json FILE] [-note STR]
-//	        [-procs N] [-shards LIST] [-maxallocs N]
+//	        [-maxallocs N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -faults injects an adversarial fault schedule into the chaos and
@@ -18,11 +18,8 @@
 // -faults drop=0.2,crash=3@5,corrupt=0.3,byz=0@8 — see bench.ParseFaultSpec
 // for the full syntax.
 //
-// -procs and -shards steer the engine experiments (E13, E16): -procs pins
-// GOMAXPROCS for the measurement (default: all cores) and -shards replaces
-// the default shard-count list with a comma-separated one (0 is the
-// sequential runner). -maxallocs turns the run into a CI perf gate: it
-// fails if any produced row allocates more than N allocations per round.
+// -maxallocs turns the run into a CI perf gate: it fails if any produced
+// row allocates more than N allocations per round.
 package main
 
 import (
@@ -61,8 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonPath   = fs.String("json", "", "write all produced tables as one machine-readable JSON report")
 		note       = fs.String("note", "", "free-form annotation recorded in the -json report")
 		faultSpec  = fs.String("faults", "", "fault schedule for the chaos/byzantine experiments, e.g. drop=0.2,crash=3@5,corrupt=0.3,byz=0@8")
-		procs      = fs.Int("procs", 0, "GOMAXPROCS for the engine experiment (0 = all cores)")
-		shardsFlag = fs.String("shards", "", "shard counts for the engine experiment, comma separated (0 = sequential runner)")
 		maxAllocs  = fs.Float64("maxallocs", 0, "fail if any engine-throughput row exceeds this many allocs/round (0 = no gate)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -131,14 +126,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	shards, err := parseShards(*shardsFlag)
-	if err != nil {
-		return err
-	}
-	params := bench.Params{
-		Quick: *quick, Seed: *seed, Runs: *runs, FaultSpec: *faultSpec,
-		Procs: *procs, Shards: shards,
-	}
+	params := bench.Params{Quick: *quick, Seed: *seed, Runs: *runs, FaultSpec: *faultSpec}
 	report := jsonReport{
 		Schema:     "dfl-bench/1",
 		GoVersion:  runtime.Version(),
@@ -190,22 +178,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "alloc gate passed: every engine row <= %.1f allocs/round\n", *maxAllocs)
 	}
 	return nil
-}
-
-// parseShards turns the -shards list into the Params.Shards slice.
-func parseShards(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, field := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -shards entry %q: want a non-negative integer", field)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // checkAllocGate is the CI perf-smoke teeth: scan every produced table for

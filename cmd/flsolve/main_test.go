@@ -66,25 +66,6 @@ func TestRunSoftCap(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSequential(t *testing.T) {
-	a := solve(t, "-algo", "dist", "-k", "9", "-seed", "5")
-	b := solve(t, "-algo", "dist", "-k", "9", "-seed", "5", "-parallel")
-	// Strip the elapsed field before comparing.
-	strip := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if i := strings.Index(line, "elapsed="); i >= 0 {
-				line = line[:i]
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(a) != strip(b) {
-		t.Fatalf("parallel output differs:\n%s\nvs\n%s", a, b)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{"-algo", "nope"}, strings.NewReader(testInstance), &out, &errBuf); err == nil {

@@ -1,8 +1,8 @@
 // Command flvet is the multichecker driver for the repo's custom static
 // analyzers (internal/analysis): the syntactic suite (detrand, maporder,
 // congestmsg, poolonly, failclosed, hotmap) plus the dataflow suite
-// (bitbudget, shardlocal, dettaint) — the compile-time-checked half of the
-// simulator's determinism, CONGEST bit-budget, shard-locality, fail-closed
+// (bitbudget, dettaint) — the compile-time-checked half of the simulator's
+// determinism, CONGEST bit-budget, single-goroutine engine, fail-closed
 // wire, and memory-layout contracts. `make lint` (folded into `make
 // check`) runs it over ./..., so every change is gated on the suite.
 //

@@ -104,17 +104,6 @@ func DeriveDistParams(inst *Instance, cfg DistConfig) (DistDerived, error) {
 var (
 	// WithSeed fixes all protocol randomness.
 	WithSeed = core.WithSeed
-	// WithParallel runs the simulator with parallel round execution.
-	WithParallel = core.WithParallel
-	// WithWorkers bounds the parallel worker/shard count; 0 means GOMAXPROCS.
-	WithWorkers = core.WithWorkers
-	// WithShards sets the topology shard count of the parallel runner
-	// (byte-identical executions at every shard count; a pure perf knob).
-	WithShards = core.WithShards
-	// WithDenseEngine selects the reference O(n)-per-round scheduler
-	// instead of the default active-frontier scheduler. Byte-identical
-	// output either way; a verification and baseline knob, not a feature.
-	WithDenseEngine = core.WithDenseEngine
 	// WithBitLimit overrides the CONGEST message-size budget.
 	WithBitLimit = core.WithBitLimit
 	// WithLossyNetwork drops protocol messages with the given probability

@@ -13,7 +13,6 @@ func TestPoolonlyGolden(t *testing.T)   { RunGolden(t, Poolonly, "poolonly") }
 func TestFailclosedGolden(t *testing.T) { RunGolden(t, Failclosed, "failclosed") }
 func TestHotmapGolden(t *testing.T)     { RunGolden(t, Hotmap, "hotmap") }
 func TestBitbudgetGolden(t *testing.T)  { RunGolden(t, Bitbudget, "bitbudget") }
-func TestShardlocalGolden(t *testing.T) { RunGolden(t, Shardlocal, "shardlocal") }
 func TestDettaintGolden(t *testing.T)   { RunGolden(t, Dettaint, "dettaint") }
 
 // The transport boundary goldens pin both halves of //flvet:transport: a

@@ -16,7 +16,7 @@ var protocolPackages = []string{
 
 // All returns the flvet analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Congestmsg, Poolonly, Failclosed, Hotmap, Bitbudget, Shardlocal, Dettaint}
+	return []*Analyzer{Detrand, Maporder, Congestmsg, Poolonly, Failclosed, Hotmap, Bitbudget, Dettaint}
 }
 
 // exprString renders an expression for diagnostics.

@@ -7,7 +7,7 @@ import (
 
 // This file is the bottom of the dataflow layer: a basic-block control-flow
 // graph over go/ast function bodies. The deep analyzers (bitbudget,
-// shardlocal, dettaint) run worklist dataflow over it instead of the purely
+// dettaint) run worklist dataflow over it instead of the purely
 // syntactic single-pass walks the first-generation analyzers use, so facts
 // survive joins, loops, and reassignment the way values actually flow at
 // run time.

@@ -15,7 +15,7 @@ import (
 var hotmapFiles = map[string]bool{
 	"congest.go":  true, // Graph + Env (Send once-per-neighbour check)
 	"engine.go":   true, // per-run environment construction
-	"shard.go":    true, // shard workers and the per-destination merge
+	"kernel.go":   true, // the round kernel: compute walk, drain, ingest
 	"nodes.go":    true, // facility/client state machines
 	"frontier.go": true, // active-set bookkeeping on the per-round path
 }

@@ -1,35 +1,27 @@
 package analysis
 
-import (
-	"go/ast"
-	"path/filepath"
-)
+import "go/ast"
 
-// Poolonly protects the sharded-runner architecture: inside
-// internal/congest, goroutines may only be started by shard.go (home of
-// the persistent shardPool and its per-shard workers). A bare `go`
-// statement anywhere else reintroduces exactly the per-round spawning (and
-// the attendant scheduling nondeterminism hazards) the pool was built to
-// eliminate; new concurrency must be routed through shardPool so the
-// round barrier and the deterministic per-destination-shard merge stay the
-// only synchronization points. There is deliberately no exemption
-// directive.
+// Poolonly keeps the round engine single-goroutine: inside
+// internal/congest, no `go` statement is allowed anywhere. Run executes
+// every round on the caller goroutine and RunShard on its host's, so the
+// deterministic merge order (invariant I5) never depends on scheduling.
+// Parallelism lives in the multi-process fleet, behind the Transport seam,
+// where goroutines belong to the transport implementation and the round
+// barrier is the only synchronization point. There is deliberately no
+// exemption, neither by file nor by directive.
 var Poolonly = &Analyzer{
 	Name:     "poolonly",
-	Doc:      "forbid bare go statements in internal/congest outside shard.go",
+	Doc:      "forbid go statements in internal/congest (the round engine is single-goroutine)",
 	Packages: []string{"dfl/internal/congest"},
 	Run:      runPoolonly,
 }
 
 func runPoolonly(pass *Pass) {
 	for _, file := range pass.Files {
-		name := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
-		if name == "shard.go" {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "bare go statement outside shard.go: route concurrency through the persistent shardPool so the round barrier stays the only synchronization point")
+				pass.Reportf(g.Pos(), "go statement in the round engine: the engine is single-goroutine (I5); put concurrency behind a Transport")
 			}
 			return true
 		})

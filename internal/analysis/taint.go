@@ -7,9 +7,8 @@ import (
 
 // This file holds the middle of the dataflow layer: a generic forward
 // worklist solver over the CFG, plus the variable-fact state shared by the
-// taint-style analyses (dettaint's nondeterminism taint and shardlocal's
-// locality facts). bitbudget reuses the same solver with its own numeric
-// lattice.
+// taint-style analyses (dettaint's nondeterminism taint). bitbudget reuses
+// the same solver with its own numeric lattice.
 
 // forwardFlow runs a forward dataflow over cfg to fixpoint and returns the
 // stable entry state of every reachable block.

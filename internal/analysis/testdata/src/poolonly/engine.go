@@ -1,9 +1,9 @@
 package poolonly
 
 func runRound(work func()) {
-	go work() // want `bare go statement outside shard\.go`
+	go work() // want `go statement in the round engine`
 	done := make(chan struct{})
-	go func() { // want `bare go statement outside shard\.go`
+	go func() { // want `go statement in the round engine`
 		work()
 		close(done)
 	}()

@@ -43,7 +43,7 @@ func chatterGraph(n int) *congest.Graph {
 
 // engineRun executes one timed chatter run and reports wall time plus the
 // allocation count observed across it.
-func engineRun(n, rounds int, parallel bool, shards int, seed int64) (time.Duration, uint64, congest.Stats, error) {
+func engineRun(n, rounds int, seed int64) (time.Duration, uint64, congest.Stats, error) {
 	g := chatterGraph(n)
 	nodes := make([]congest.Node, n)
 	for i := range nodes {
@@ -52,11 +52,7 @@ func engineRun(n, rounds int, parallel bool, shards int, seed int64) (time.Durat
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	stats, err := congest.Run(g, nodes, congest.Config{
-		Seed:     seed,
-		Parallel: parallel,
-		Shards:   shards,
-	})
+	stats, err := congest.Run(g, nodes, congest.Config{Seed: seed})
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return elapsed, after.Mallocs - before.Mallocs, stats, err
@@ -65,19 +61,18 @@ func engineRun(n, rounds int, parallel bool, shards int, seed int64) (time.Durat
 // engineBest runs one warm-up plus `reps` timed runs and keeps the fastest
 // (the minimum is the standard robust estimator for wall clocks on a busy
 // machine; single-shot timings on shared hardware swing by tens of
-// percent, which is exactly the methodology bug that made the seed
-// baseline's seq-vs-1-worker rows differ on identical code paths).
+// percent).
 // Allocations are averaged instead: they are deterministic per run modulo
 // runtime bookkeeping, and the mean smooths GC-triggered noise.
-func engineBest(n, rounds, reps int, parallel bool, shards int, seed int64) (time.Duration, float64, congest.Stats, error) {
-	if _, _, _, err := engineRun(n, rounds/2, parallel, shards, seed); err != nil {
+func engineBest(n, rounds, reps int, seed int64) (time.Duration, float64, congest.Stats, error) {
+	if _, _, _, err := engineRun(n, rounds/2, seed); err != nil {
 		return 0, 0, congest.Stats{}, err
 	}
 	var best time.Duration
 	var stats congest.Stats
 	var mallocs uint64
 	for rep := 0; rep < reps; rep++ {
-		elapsed, m, st, err := engineRun(n, rounds, parallel, shards, seed)
+		elapsed, m, st, err := engineRun(n, rounds, seed)
 		if err != nil {
 			return 0, 0, congest.Stats{}, err
 		}
@@ -90,132 +85,44 @@ func engineBest(n, rounds, reps int, parallel bool, shards int, seed int64) (tim
 	return best, float64(mallocs) / float64(reps), stats, nil
 }
 
-// engineProcs resolves the GOMAXPROCS the engine experiment measures at:
-// every core the machine has, unless -procs pinned a value. The seed
-// baseline was recorded at GOMAXPROCS=1 — a methodology bug that made the
-// parallel rows unable to win by construction; BENCH_5.json and later
-// baselines record at cores (the committed report stores the value in its
-// gomaxprocs field).
-func engineProcs(p Params) int {
-	if p.Procs > 0 {
-		return p.Procs
-	}
-	return runtime.NumCPU()
-}
-
 const engineReps = 3 // timed repetitions per cell; fastest wins
 
 // EngineThroughput regenerates Table 10 (E13): raw simulator performance —
-// rounds per second and allocations per round — as the network size and
-// the shard count vary, measured at GOMAXPROCS=cores. This is the measured
-// perf trajectory the ROADMAP asks for: future engine changes must not
-// regress these numbers (the committed BENCH_*.json reports hold the
-// baselines, and `flbench -maxallocs` turns the allocation column into a
-// CI gate).
+// rounds per second and allocations per round — as the network size
+// varies. This is the measured perf trajectory the ROADMAP asks for:
+// future engine changes must not regress these numbers (the committed
+// BENCH_*.json reports hold the baselines, and `flbench -maxallocs` turns
+// the allocation column into a CI gate).
 func EngineThroughput(p Params) ([]Table, error) {
-	procs := engineProcs(p)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	sizes := []int{256, 1024, 4096}
 	rounds := 60
 	if p.Quick {
 		sizes = []int{64, 256}
 		rounds = 12
 	}
-	shardCounts := p.Shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{0, 1, 2} // 0 = sequential runner
-		if procs > 2 {
-			shardCounts = append(shardCounts, procs)
-		}
-	}
 	t := Table{
 		ID:    "T10",
-		Title: "Engine throughput vs network size and shard count",
-		Note: fmt.Sprintf("degree-8 circulant, %d protocol rounds of 2-byte broadcasts, GOMAXPROCS=%d, best of %d timed runs; workers=seq is the sequential runner",
-			rounds, procs, engineReps),
-		Columns: []string{"nodes", "edges", "workers", "rounds/sec", "msgs/sec", "allocs/round", "messages"},
+		Title: "Engine throughput vs network size",
+		Note: fmt.Sprintf("degree-8 circulant, %d protocol rounds of 2-byte broadcasts, GOMAXPROCS=%d, best of %d timed runs",
+			rounds, runtime.GOMAXPROCS(0), engineReps),
+		Columns: []string{"nodes", "edges", "rounds/sec", "msgs/sec", "allocs/round", "messages"},
 	}
 	for _, n := range sizes {
-		for _, shards := range shardCounts {
-			parallel := shards > 0
-			label := "seq"
-			if parallel {
-				label = in(shards)
-			}
-			elapsed, mallocs, stats, err := engineBest(n, rounds, engineReps, parallel, shards, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			secs := elapsed.Seconds()
-			if secs <= 0 {
-				secs = 1e-9
-			}
-			t.Add(in(n), in(n*4), label,
-				f64(float64(stats.Rounds)/secs),
-				f64(float64(stats.Messages)/secs),
-				f64(mallocs/float64(stats.Rounds)),
-				i64(stats.Messages))
-		}
-	}
-
-	speedup, err := shardSpeedup(p, procs)
-	if err != nil {
-		return nil, err
-	}
-	proto := protocolThroughput(p)
-	return []Table{t, speedup, proto}, nil
-}
-
-// shardSpeedup regenerates Table 14: the speedup-vs-cores curve of the
-// sharded runner on the largest T10 size. Speedup is against the
-// sequential runner at the same GOMAXPROCS; efficiency divides by the
-// core budget actually available to the shard count
-// (min(shards, GOMAXPROCS)), so a 2-shard run on a 1-core box is judged
-// against 1 core, not 2.
-func shardSpeedup(p Params, procs int) (Table, error) {
-	n := 4096
-	rounds := 60
-	if p.Quick {
-		n = 256
-		rounds = 12
-	}
-	t := Table{
-		ID:    "T14",
-		Title: "Sharded-runner speedup vs cores on the largest T10 size",
-		Note: fmt.Sprintf("degree-8 circulant, n=%d, %d rounds, GOMAXPROCS=%d, best of %d timed runs; speedup is vs the sequential runner",
-			n, rounds, procs, engineReps),
-		Columns: []string{"shards", "cores used", "rounds/sec", "speedup", "efficiency"},
-	}
-	seqElapsed, _, seqStats, err := engineBest(n, rounds, engineReps, false, 0, p.Seed)
-	if err != nil {
-		return t, err
-	}
-	seqRate := float64(seqStats.Rounds) / seqElapsed.Seconds()
-	t.Add("seq", "1", f64(seqRate), "1.000", "1.000")
-	shardCounts := []int{1, 2, 4, 8}
-	if len(p.Shards) > 0 {
-		shardCounts = shardCounts[:0]
-		for _, s := range p.Shards {
-			if s > 0 {
-				shardCounts = append(shardCounts, s)
-			}
-		}
-	}
-	for _, shards := range shardCounts {
-		elapsed, _, stats, err := engineBest(n, rounds, engineReps, true, shards, p.Seed)
+		elapsed, mallocs, stats, err := engineBest(n, rounds, engineReps, p.Seed)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
-		rate := float64(stats.Rounds) / elapsed.Seconds()
-		cores := shards
-		if cores > procs {
-			cores = procs
+		secs := elapsed.Seconds()
+		if secs <= 0 {
+			secs = 1e-9
 		}
-		t.Add(in(shards), in(cores), f64(rate),
-			fmt.Sprintf("%.3f", rate/seqRate),
-			fmt.Sprintf("%.3f", rate/seqRate/float64(cores)))
+		t.Add(in(n), in(n*4),
+			f64(float64(stats.Rounds)/secs),
+			f64(float64(stats.Messages)/secs),
+			f64(mallocs/float64(stats.Rounds)),
+			i64(stats.Messages))
 	}
-	return t, nil
+	return []Table{t, protocolThroughput(p)}, nil
 }
 
 // protocolThroughput measures the end-to-end protocol on the largest E2
@@ -228,43 +135,33 @@ func protocolThroughput(p Params) Table {
 	t := Table{
 		ID:      "T11",
 		Title:   "Protocol wall-clock on the largest E2 configuration (K=16)",
-		Note:    fmt.Sprintf("sparse uniform, nc=%d, m=nc/8; one full core.Solve per row, best of 3 timed runs", nc),
-		Columns: []string{"runner", "wall ms", "rounds", "messages", "rounds/sec"},
+		Note:    fmt.Sprintf("sparse uniform, nc=%d, m=nc/8; one full core.Solve, best of 3 timed runs", nc),
+		Columns: []string{"wall ms", "rounds", "messages", "rounds/sec"},
 	}
 	m := nc / 8
 	inst, err := gen.Uniform{M: m, NC: nc, Density: 0.2, MinDegree: 3}.Generate(p.Seed + int64(nc))
 	if err != nil {
-		t.Add("error", err.Error(), "-", "-", "-")
+		t.Add(err.Error(), "-", "-", "-")
 		return t
 	}
-	for _, runner := range []string{"sequential", "parallel"} {
-		opts := []core.Option{core.WithSeed(p.Seed)}
-		if runner == "parallel" {
-			opts = append(opts, core.WithParallel(true))
-		}
-		// Best of three timed runs: single-shot wall clocks on a busy
-		// machine are dominated by scheduler and GC noise, and the minimum
-		// is the standard robust estimator for them.
-		var best time.Duration
-		var rep *core.Report
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			start := time.Now()
-			_, rep, err = core.Solve(inst, core.Config{K: 16}, opts...)
-			if err != nil {
-				break
-			}
-			if elapsed := time.Since(start); attempt == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
+	// Best of three timed runs: single-shot wall clocks on a busy machine
+	// are dominated by scheduler and GC noise, and the minimum is the
+	// standard robust estimator for them.
+	var best time.Duration
+	var rep *core.Report
+	for attempt := 0; attempt < 3; attempt++ {
+		start := time.Now()
+		_, rep, err = core.Solve(inst, core.Config{K: 16}, core.WithSeed(p.Seed))
 		if err != nil {
-			t.Add(runner, err.Error(), "-", "-", "-")
-			continue
+			t.Add(err.Error(), "-", "-", "-")
+			return t
 		}
-		t.Add(runner, f64(float64(best.Microseconds())/1000),
-			in(rep.Net.Rounds), i64(rep.Net.Messages),
-			f64(float64(rep.Net.Rounds)/best.Seconds()))
+		if elapsed := time.Since(start); attempt == 0 || elapsed < best {
+			best = elapsed
+		}
 	}
+	t.Add(f64(float64(best.Microseconds())/1000),
+		in(rep.Net.Rounds), i64(rep.Net.Messages),
+		f64(float64(rep.Net.Rounds)/best.Seconds()))
 	return t
 }

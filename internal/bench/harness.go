@@ -24,14 +24,6 @@ type Params struct {
 	// schedule matrix with one parsed from this compact syntax (see
 	// ParseFaultSpec); set by the flbench -faults flag.
 	FaultSpec string
-	// Procs pins GOMAXPROCS for the engine-throughput experiment; 0 means
-	// runtime.NumCPU(). Set by the flbench -procs flag. The seed baseline
-	// was recorded with the harness default of 1 — see BENCH_5.json.
-	Procs int
-	// Shards, when non-empty, replaces the engine experiment's default
-	// shard-count list (0 denotes the sequential runner in T10). Set by the
-	// flbench -shards flag.
-	Shards []int
 }
 
 func (p Params) runs() int {
@@ -80,7 +72,7 @@ func Experiments() []Experiment {
 			Claim: "per-copy capacities integrate into the same trade-off", Run: CapacitySweep},
 		{ID: "E12", Kind: "table", Name: "LP-gap audit (dual ascent vs exact LP vs OPT)",
 			Claim: "the cheap dual bound is within a small factor of the exact LP", Run: LPGapAudit},
-		{ID: "E13", Kind: "table", Name: "Engine throughput vs size and shard count",
+		{ID: "E13", Kind: "table", Name: "Engine throughput vs network size",
 			Claim: "the simulator itself scales: rounds/sec tracks hardware, allocs/round stay flat", Run: EngineThroughput},
 		{ID: "E14", Kind: "table", Name: "Self-healing under adversarial fault schedules",
 			Claim: "crashes, duplication and heavy loss cost quality, never certified feasibility", Run: ChaosOverhead},

@@ -36,21 +36,12 @@ func scaleSizes(p Params) []scaleSize {
 // true per-round allocation rate, and the acceptance bar is that it stays
 // flat as n grows 50x.
 func MillionNodeScaling(p Params) ([]Table, error) {
-	procs := engineProcs(p)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	shardConfigs := p.Shards
-	if len(shardConfigs) == 0 {
-		shardConfigs = []int{0, 2} // 0 = sequential runner
-		if procs > 2 {
-			shardConfigs = append(shardConfigs, procs)
-		}
-	}
 	t := Table{
 		ID:    "T15",
 		Title: "Million-node engine scaling (CSR adjacency, arena payloads)",
 		Note: fmt.Sprintf("degree-8 circulant, GOMAXPROCS=%d; graph+nodes built once per size outside the measured window; allocs/round = (mallocs(2R)-mallocs(R))/R on the same frozen graph, cancelling per-run env setup",
-			procs),
-		Columns: []string{"nodes", "edges", "workers", "setup ms", "rounds/sec", "msgs/sec", "allocs/round", "messages"},
+			runtime.GOMAXPROCS(0)),
+		Columns: []string{"nodes", "edges", "setup ms", "rounds/sec", "msgs/sec", "allocs/round", "messages"},
 	}
 	// The footprint row runs first: MemStats.Sys is a process-lifetime
 	// high-water mark, so measuring it before the multi-gigabyte chatter
@@ -70,38 +61,31 @@ func MillionNodeScaling(p Params) ([]Table, error) {
 			nodes[i] = chat[i]
 		}
 		setup := time.Since(setupStart)
-		for _, shards := range shardConfigs {
-			parallel := shards > 0
-			label := "seq"
-			if parallel {
-				label = in(shards)
-			}
-			_, m1, st1, err := scaleRun(g, nodes, chat, sz.rounds, parallel, shards, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			elapsed, m2, st2, err := scaleRun(g, nodes, chat, 2*sz.rounds, parallel, shards, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			extra := st2.Rounds - st1.Rounds
-			if extra <= 0 {
-				extra = 1
-			}
-			if m2 < m1 { // GC bookkeeping jitter; clamp rather than underflow
-				m2 = m1
-			}
-			secs := elapsed.Seconds()
-			if secs <= 0 {
-				secs = 1e-9
-			}
-			t.Add(in(sz.n), in(sz.n*4), label,
-				f64(float64(setup.Microseconds())/1000),
-				f64(float64(st2.Rounds)/secs),
-				f64(float64(st2.Messages)/secs),
-				f64(float64(m2-m1)/float64(extra)),
-				i64(st2.Messages))
+		_, m1, st1, err := scaleRun(g, nodes, chat, sz.rounds, p.Seed)
+		if err != nil {
+			return nil, err
 		}
+		elapsed, m2, st2, err := scaleRun(g, nodes, chat, 2*sz.rounds, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		extra := st2.Rounds - st1.Rounds
+		if extra <= 0 {
+			extra = 1
+		}
+		if m2 < m1 { // GC bookkeeping jitter; clamp rather than underflow
+			m2 = m1
+		}
+		secs := elapsed.Seconds()
+		if secs <= 0 {
+			secs = 1e-9
+		}
+		t.Add(in(sz.n), in(sz.n*4),
+			f64(float64(setup.Microseconds())/1000),
+			f64(float64(st2.Rounds)/secs),
+			f64(float64(st2.Messages)/secs),
+			f64(float64(m2-m1)/float64(extra)),
+			i64(st2.Messages))
 	}
 	return []Table{t, mem}, nil
 }
@@ -111,18 +95,14 @@ func MillionNodeScaling(p Params) ([]Table, error) {
 // node structs are reused between runs — Init rebinds their envs — so only
 // congest.Run's own per-run state is inside the window, and the T15
 // differential subtracts exactly that.
-func scaleRun(g *congest.Graph, nodes []congest.Node, chat []*chatterNode, rounds int, parallel bool, shards int, seed int64) (time.Duration, uint64, congest.Stats, error) {
+func scaleRun(g *congest.Graph, nodes []congest.Node, chat []*chatterNode, rounds int, seed int64) (time.Duration, uint64, congest.Stats, error) {
 	for _, c := range chat {
 		c.rounds = rounds
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	stats, err := congest.Run(g, nodes, congest.Config{
-		Seed:     seed,
-		Parallel: parallel,
-		Shards:   shards,
-	})
+	stats, err := congest.Run(g, nodes, congest.Config{Seed: seed})
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return elapsed, after.Mallocs - before.Mallocs, stats, err

@@ -53,8 +53,6 @@ func (n *pulseNode) Round(r int, inbox []congest.Message) bool {
 // for dense regardless of activity, O(active + delivered) for the
 // frontier.
 func SparseRounds(p Params) ([]Table, error) {
-	procs := engineProcs(p)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	n, rounds, reps := 1_000_000, 48, 3
 	if p.Quick {
 		n, rounds, reps = 100_000, 24, 1
@@ -71,7 +69,7 @@ func SparseRounds(p Params) ([]Table, error) {
 		ID:    "T18",
 		Title: "Sparse round execution: frontier vs dense scheduler",
 		Note: fmt.Sprintf("degree-8 circulant, n=%d, GOMAXPROCS=%d; every stride-th node broadcasts each round, the rest sleep until the halt round; all columns are steady-state R-vs-2R differentials on the frozen graph, cancelling env setup and the two full-population rounds; active/round = node-rounds the frontier actually executed (hot stride + delivery-woken fringe); dense and frontier Stats verified identical per row",
-			n, procs),
+			n, runtime.GOMAXPROCS(0)),
 		Columns: []string{"stride", "active/round", "senders/round", "dense ms/round", "frontier ms/round", "speedup", "allocs/round"},
 	}
 	// run executes one measurement on the frozen graph: node structs are

@@ -343,7 +343,9 @@ func TestFaultsZeroValueIsIdentical(t *testing.T) {
 }
 
 // TestAggregationParallelEquivalence checks that the aggregation
-// primitives are deterministic under the parallel runner too.
+// protocols are deterministic across execution modes: run as concurrent
+// RunShard spans over a ChanNetwork at shard counts 1, 2 and 8, they
+// reproduce AggregateMin's and ConvergecastSum's results and Stats.
 func TestAggregationParallelEquivalence(t *testing.T) {
 	g := mustGraph(t, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}, {0, 4}})
 	values := []int64{9, 3, 7, 1, 8, 2, 6, 4}
@@ -352,29 +354,46 @@ func TestAggregationParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parMins, parStats, err := AggregateMin(g, values, radius, Config{Seed: 5, Parallel: true, Workers: 4})
+	seqSums, sumStats, err := ConvergecastSum(g, values, radius, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats != parStats {
-		t.Fatalf("stats diverged: %+v vs %+v", seqStats, parStats)
-	}
-	for i := range seqMins {
-		if seqMins[i] != parMins[i] {
-			t.Fatalf("mins diverged at %d", i)
+	for _, k := range []int{1, 2, 8} {
+		nodes := make([]Node, g.N())
+		floods := make([]*floodNode, g.N())
+		for i := range nodes {
+			floods[i] = &floodNode{value: values[i], rounds: radius}
+			nodes[i] = floods[i]
 		}
-	}
-	seqSums, _, err := ConvergecastSum(g, values, radius, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSums, _, err := ConvergecastSum(g, values, radius, Config{Seed: 5, Parallel: true, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqSums {
-		if seqSums[i] != parSums[i] {
-			t.Fatalf("sums diverged at %d", i)
+		st, err := runFleet(t, g, nodes, Config{Seed: 5}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != seqStats {
+			t.Fatalf("k=%d min stats diverged: %+v vs %+v", k, st, seqStats)
+		}
+		for i := range seqMins {
+			if floods[i].value != seqMins[i] {
+				t.Fatalf("k=%d mins diverged at %d", k, i)
+			}
+		}
+
+		sums := make([]*sumNode, g.N())
+		for i := range nodes {
+			sums[i] = &sumNode{value: values[i], floodRounds: radius + 1, totalRounds: 4*radius + 10}
+			nodes[i] = sums[i]
+		}
+		st, err = runFleet(t, g, nodes, Config{Seed: 5}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != sumStats {
+			t.Fatalf("k=%d sum stats diverged: %+v vs %+v", k, st, sumStats)
+		}
+		for i := range seqSums {
+			if sums[i].total != seqSums[i] {
+				t.Fatalf("k=%d sums diverged at %d", k, i)
+			}
 		}
 	}
 }

@@ -3,13 +3,13 @@
 // bounded-size message per neighbour per round.
 //
 // The engine runs an arbitrary set of Node state machines on an undirected
-// communication graph. Two runners are provided — a deterministic
-// sequential one and a topology-sharded parallel one (nodes statically
-// partitioned into edge-cut-minimizing shards, one persistent worker per
-// shard, delivery merged per destination shard) — and both produce
-// byte-identical executions for the same configuration and any shard
-// count, which the test suite verifies. Message and bit counts,
-// per-message size limits, and halt detection are built in.
+// communication graph. One round kernel executes them: Run drives it over
+// every node on the caller goroutine, and RunShard drives it over one
+// contiguous id span whose cross-span traffic crosses a Transport — the
+// in-process ChanNetwork or the UDP fleet, which is where parallelism
+// lives. Both produce byte-identical executions for the same configuration
+// and any shard count, which the test suite verifies. Message and bit
+// counts, per-message size limits, and halt detection are built in.
 package congest
 
 import (
@@ -195,18 +195,6 @@ func (g *Graph) NeighborIndex(u, v int) (int, bool) {
 	return pos, true
 }
 
-// directedCount returns the number of directed adjacency entries (2·edges),
-// which is also the total length of all rows. Engine use only.
-func (g *Graph) directedCount() int {
-	g.Finalize()
-	return g.rowStart[g.n]
-}
-
-// rowOffsets returns the CSR offsets of node u's row. Engine use only.
-func (g *Graph) rowOffsets(u int) (int, int) {
-	return g.rowStart[u], g.rowStart[u+1]
-}
-
 // Bipartite builds the communication graph of a facility-location instance:
 // facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
 // client j) pair in edges becomes a communication edge. The returned graph
@@ -271,8 +259,8 @@ type Recoverable interface {
 // The engine allocates all Env state up front in flat per-run arrays —
 // the Env structs themselves, the once-per-neighbour generation stamps,
 // and the payload arenas — partitioned by the frozen graph's CSR offsets,
-// so nodes owned by one shard occupy contiguous memory (ids within a shard
-// are near-contiguous) and steady-state rounds allocate nothing.
+// so a round walks contiguous memory and steady-state rounds allocate
+// nothing.
 type Env struct {
 	id    int
 	graph *Graph
@@ -301,10 +289,9 @@ type Env struct {
 	arena     []byte
 	prevArena []byte
 	// rejected counts inbox frames this node's protocol logic refused as
-	// malformed (fail-closed decode paths). It is drained into
-	// Stats.Rejected during the deterministic merge — by the caller in the
-	// sequential and fault-delivery paths, by the owning shard's worker in
-	// the sharded merge — so the counter is a plain int under every runner.
+	// malformed (fail-closed decode paths). The kernel's drain folds it
+	// into Stats.Rejected on the goroutine that ran the node, so the
+	// counter is a plain int.
 	rejected int64
 	// sleepUntil is the node's quiescence declaration for the rounds after
 	// this one (see SleepUntil); beginRound resets it, so the declaration

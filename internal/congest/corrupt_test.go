@@ -75,8 +75,8 @@ func TestForgeryAccounting(t *testing.T) {
 }
 
 // TestCorruptionDeterminism holds corruption and byzantine forgery to
-// invariant I5: the same schedule must produce identical stats across the
-// sequential runner and worker pools of 1, 2, and 8.
+// invariant I5: the same schedule must produce identical stats under the
+// frontier scheduler and the dense reference, and again on a replay.
 func TestCorruptionDeterminism(t *testing.T) {
 	faults := Faults{
 		CorruptProb:        0.4,
@@ -84,27 +84,27 @@ func TestCorruptionDeterminism(t *testing.T) {
 		DupProb:            0.3,
 		ByzantineFromRound: map[int]int{0: 2, 2: 5},
 	}
-	run := func(parallel bool, workers int) Stats {
+	run := func(dense bool) Stats {
 		g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 		nodes := make([]Node, 4)
 		for i := range nodes {
 			nodes[i] = &chatterNode{rounds: 10}
 		}
 		stats, err := Run(g, nodes, Config{
-			Seed: 7, MaxRounds: 20, Parallel: parallel, Workers: workers, Faults: faults,
+			Seed: 7, MaxRounds: 20, Dense: dense, Faults: faults,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
-	ref := run(false, 0)
+	ref := run(true)
 	if ref.Corrupted == 0 || ref.Forged == 0 {
 		t.Fatalf("schedule too tame to test determinism: %+v", ref)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		if got := run(true, workers); got != ref {
-			t.Fatalf("workers=%d: stats diverged:\n%+v\n%+v", workers, got, ref)
+	for _, dense := range []bool{false, true} {
+		if got := run(dense); got != ref {
+			t.Fatalf("dense=%v: stats diverged:\n%+v\n%+v", dense, got, ref)
 		}
 	}
 }

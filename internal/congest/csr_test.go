@@ -129,10 +129,11 @@ func fnvMix(d, w uint64) uint64 {
 	return d
 }
 
-// TestCSRLargeDeterminism runs a 10^5-node CSR-built sparse graph under the
-// sequential runner and several shard counts and demands byte-identical
-// executions: every node's observation digest must match exactly (invariant
-// I5 at the scale the million-node layout targets).
+// TestCSRLargeDeterminism runs a 10^5-node CSR-built sparse graph under Run
+// and as RunShard spans over a ChanNetwork at several shard counts and
+// demands byte-identical executions: every node's observation digest must
+// match exactly (invariant I5 at the scale the million-node layout
+// targets).
 func TestCSRLargeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large determinism matrix in -short mode")
@@ -154,14 +155,20 @@ func TestCSRLargeDeterminism(t *testing.T) {
 			_ = g.AddEdge(u, v) // duplicates fold at Finalize
 		}
 	}
-	run := func(parallel bool, shards int) []uint64 {
+	run := func(shards int) []uint64 {
 		nodes := make([]Node, n)
 		store := make([]hashNode, n)
 		for i := range store {
 			store[i].limit = 4
 			nodes[i] = &store[i]
 		}
-		if _, err := Run(g, nodes, Config{Seed: 5, Parallel: parallel, Shards: shards}); err != nil {
+		var err error
+		if shards == 0 {
+			_, err = Run(g, nodes, Config{Seed: 5})
+		} else {
+			_, err = runFleet(t, g, nodes, Config{Seed: 5}, shards)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]uint64, n)
@@ -170,11 +177,11 @@ func TestCSRLargeDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	want := run(false, 0)
+	want := run(0)
 	// Shard counts 1 and other schedules are covered at small n by the
 	// existing equivalence matrices; at this scale two counts suffice.
 	for _, shards := range []int{2, 8} {
-		got := run(true, shards)
+		got := run(shards)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: node %d digest %x != sequential %x", shards, i, got[i], want[i])

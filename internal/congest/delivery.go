@@ -26,13 +26,12 @@ type Reliable struct {
 
 func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
 
-// delivery is the fault-aware message path. The plain engine merge is a
-// two-line append (sharded across workers in the parallel runner); this
-// layer replaces it whenever faults or the reliable shim are configured,
-// running entirely on the caller goroutine during the deterministic merge
-// — the sharded runner's workers then run only the compute phase — so the
-// parallel runner stays byte-identical to the sequential one (invariant
-// I5). It shares the engine's halted/crashed/inbox storage.
+// delivery is the fault-aware message path. The kernel's plain drain is an
+// inbox append; this layer replaces it whenever faults or the reliable shim
+// are configured, running on the caller goroutine during Run's
+// deterministic merge so that every fault-stream draw happens in global
+// sender order (invariant I5). It shares the kernel's halted/crashed/inbox
+// storage.
 //
 // Per merge round the order of operations — and therefore the order of
 // fault-stream draws — is fixed: (1) acknowledgements due this round, (2)
@@ -74,7 +73,7 @@ type delivery struct {
 	// onLinkDown receives the typed per-link report when the shim abandons
 	// a frame with its retry budget exhausted (Config.OnLinkDown).
 	onLinkDown func(LinkDownError)
-	// fr is the caller-side frontier of the sparse scheduler (nil in dense
+	// fr is the kernel frontier of the sparse scheduler (nil in dense
 	// mode): commit records each recipient's first delivery of the round
 	// for the next round's inbox clears and wakes sleeping recipients.
 	// Every fault-path delivery — staged, delayed, retransmitted, forged —

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -14,22 +14,10 @@ type Config struct {
 	// unlimited (the LOCAL model).
 	BitLimit int
 	// Seed derives every node's private random stream; the same seed yields
-	// a byte-identical execution in both runners.
+	// a byte-identical execution under Run and under RunShard.
 	Seed int64
 	// MaxRounds aborts runaway protocols. 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Parallel selects the sharded runner: nodes are statically
-	// partitioned into topology-aware shards, each owned by one persistent
-	// worker goroutine started once per Run and reused every round.
-	// Execution is byte-identical to the sequential runner for every shard
-	// count (invariant I5).
-	Parallel bool
-	// Workers bounds the parallel shard/worker count; 0 means GOMAXPROCS.
-	Workers int
-	// Shards overrides Workers as the shard/worker count when non-zero.
-	// The two are aliases — every worker owns exactly one shard — and the
-	// split exists so callers can name the intent (`-shards` on flbench).
-	Shards int
 	// Dense selects the reference O(n) scheduler: every round scans the
 	// full population for halt detection, compute, merge, and inbox
 	// clears, and Env.SleepUntil declarations are ignored (the declared
@@ -42,10 +30,10 @@ type Config struct {
 	// reference and as the baseline of the E18 sparse-rounds benchmark.
 	Dense bool
 	// Observer, when non-nil, is invoked after every round with the round
-	// number and the messages delivered in that round (sequential runner
-	// order). The slice is reused between rounds and is only valid for the
-	// duration of the call. Used by the tracing tool; nil in production
-	// runs.
+	// number and the messages delivered in that round, in ascending
+	// sender order. The slice is reused between rounds and is only valid
+	// for the duration of the call. Run only; RunShard ignores it. Used by
+	// the tracing tool; nil in production runs.
 	Observer func(round int, delivered []Message)
 	// Faults injects message drops and node crashes; the zero value is a
 	// fault-free run. Run validates the configuration and rejects
@@ -105,6 +93,10 @@ type Stats struct {
 // Run executes nodes on g until every node has halted, returning model-level
 // statistics. len(nodes) must equal g.N(). Nodes are the caller's own
 // values; after Run returns the caller reads results directly out of them.
+//
+// Run is the round kernel over the whole population [0, n) on the caller
+// goroutine. The fault pipeline and the Observer hang off the kernel's
+// drain, so every fault-stream draw happens in global sender order.
 func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	if len(nodes) != g.N() {
 		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
@@ -120,107 +112,24 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		maxRounds = DefaultMaxRounds
 	}
 
-	// Freeze the topology and lay out all per-node environment state in flat
-	// blocks partitioned by the CSR row offsets: the Env structs themselves,
-	// the once-per-neighbour generation stamps (one slot per directed edge),
-	// and the two payload arenas. Shards own near-contiguous id ranges, so
-	// this id-ordered layout is also shard-affine — each worker's rounds walk
-	// a contiguous region of every array.
 	g.Finalize()
-	dir := g.directedCount()
-	hint := payloadHint(cfg.BitLimit)
-	envStore := make([]Env, len(nodes))
-	genAll := make([]uint64, dir)
-	arenaAll := make([]byte, dir*hint)
-	prevAll := make([]byte, dir*hint)
-	envs := make([]*Env, len(nodes))
-	for id := range nodes {
-		s, e := g.rowOffsets(id)
-		env := &envStore[id]
-		*env = Env{
-			id:       id,
-			graph:    g,
-			seed:     nodeSeed(cfg.Seed, id),
-			bitLimit: cfg.BitLimit,
-			sentGen:  genAll[s:e:e],
-			// gen starts at 1 so a zero-valued sentGen slot never collides
-			// with a live generation.
-			gen: 1,
-			// Full-length capacity, zero length: append fills the node's own
-			// slot and reallocates privately only if the slot overflows,
-			// never spilling into a neighbour's region.
-			arena:     arenaAll[s*hint : s*hint : e*hint],
-			prevArena: prevAll[s*hint : s*hint : e*hint],
-		}
-		envs[id] = env
-		nodes[id].Init(env)
-	}
-
-	halted := make([]bool, len(nodes))
-	inboxes := make([][]Message, len(nodes))
-	var stats Stats
+	k := newKernel(g, nodes, Span{Lo: 0, Hi: len(nodes)}, cfg)
+	k.observe = cfg.Observer != nil
 
 	// Fault randomness lives on its own stream so that a Faults{} run is
 	// byte-identical to a fault-free run with the same seed. The stream is
 	// created whenever any fault feature is active — even schedule-only
 	// configurations, which draw nothing from it — so activation never
 	// depends on which fields happen to consume randomness.
-	var faultRng *rand.Rand
 	var crashed []bool
-	var del *delivery
 	if cfg.Faults.active() || cfg.Reliable.enabled() {
+		var faultRng *rand.Rand
 		if cfg.Faults.active() {
 			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
 		}
 		crashed = make([]bool, len(nodes))
-		del = newDelivery(&cfg.Faults, g, cfg.BitLimit, cfg.Reliable, faultRng, halted, crashed, inboxes, &stats, cfg.Observer != nil, cfg.OnLinkDown)
-	}
-
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = cfg.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Fault delivery and observers need the merge on the caller goroutine
-	// (fault-stream draws and the observed order are defined in global
-	// sender order); honest unobserved runs take the contention-free
-	// per-destination-shard merge.
-	var pool *shardPool
-	if cfg.Parallel && len(nodes) > 0 {
-		pool = newShardPool(g, nodes, envs, halted, inboxes, workers, del != nil || cfg.Observer != nil, cfg.Dense)
-		defer pool.stop()
-	}
-
-	// Frontier scheduler state (all nil in dense mode): the sequential
-	// runner owns one frontier over every node; the sharded runner keeps
-	// per-shard frontiers inside the pool plus a caller-side frontier that
-	// tracks recipients and routes wakes whenever the merge runs on this
-	// goroutine. liveCount is maintained in both modes — it feeds the
-	// activity stats — but only the frontier scheduler trusts it for halt
-	// detection; dense mode keeps the reference full scan.
-	liveCount := len(nodes)
-	var fr, mf *frontier
-	if !cfg.Dense {
-		if pool != nil {
-			mf = pool.callerFrontier()
-		} else {
-			fr = newFrontier(len(nodes))
-			mf = fr
-		}
-	}
-	if del != nil {
-		del.fr = mf
-	}
-
-	m := &merger{
-		stats:   &stats,
-		del:     del,
-		mf:      mf,
-		halted:  halted,
-		inboxes: inboxes,
-		observe: cfg.Observer != nil,
+		k.del = newDelivery(&cfg.Faults, g, cfg.BitLimit, cfg.Reliable, faultRng, k.halted, crashed, k.inboxes, &k.stats, k.observe, cfg.OnLinkDown)
+		k.del.fr = k.fr
 	}
 
 	// The crash/recovery schedules are maps; compile them once into fire
@@ -233,35 +142,28 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		recoverFires = compileFires(cfg.Faults.RecoverAtRound)
 	}
 	var crashCur, recoverCur int
-	// mergeIDs is the reused k-way merge buffer for the sharded frontier's
-	// caller-side merges.
-	var mergeIDs []int32
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			stats.Rounds = round
-			stats.FinalLive = liveCount
-			return stats, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
+			return k.result(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
 		}
 		for crashCur < len(crashFires) && crashFires[crashCur].at == round {
 			id := int(crashFires[crashCur].id)
 			crashCur++
 			// A node whose crash never fired (it halted voluntarily first)
 			// stays down.
-			if halted[id] {
+			if k.halted[id] {
 				continue
 			}
-			halted[id] = true
+			k.halted[id] = true
 			crashed[id] = true
-			stats.Crashed++
-			liveCount--
-			if fr != nil {
-				fr.dropCrashed(int32(id))
-			} else if pool != nil && !cfg.Dense {
-				pool.dropCrashed(int32(id))
+			k.stats.Crashed++
+			k.live--
+			if k.fr != nil {
+				k.fr.dropCrashed(int32(id))
 			}
-			if del.shim != nil {
-				del.shim.onCrash(id)
+			if k.del.shim != nil {
+				k.del.shim.onCrash(id)
 			}
 		}
 		// Recovery rejoins a crashed node with empty protocol state: the
@@ -274,208 +176,43 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 				continue
 			}
 			crashed[id] = false
-			halted[id] = false
-			stats.Recovered++
-			liveCount++
-			if fr != nil {
-				fr.revive(int32(id))
-			} else if pool != nil && !cfg.Dense {
-				pool.revive(int32(id))
+			k.halted[id] = false
+			k.stats.Recovered++
+			k.live++
+			if k.fr != nil {
+				k.fr.revive(int32(id))
 			}
 			nodes[id].(Recoverable).Recover()
 		}
-		allHalted := liveCount == 0
+		allHalted := k.live == 0
 		if cfg.Dense {
 			// Reference halt detection: the full scan the frontier
 			// scheduler's live counter replaces.
-			allHalted = true
-			for id := range nodes {
-				if !halted[id] {
-					allHalted = false
-					break
-				}
-			}
+			allHalted = !slices.Contains(k.halted, false)
 		}
 		if allHalted && !pendingFires(recoverFires[recoverCur:], crashed) {
-			stats.Rounds = round
-			stats.FinalLive = liveCount
-			return stats, nil
+			return k.result(round, nil)
 		}
-		stats.LiveNodeRounds += int64(liveCount)
+		k.stats.LiveNodeRounds += int64(k.live)
 
-		if pool != nil {
-			shardMerged := pool.runRound(round)
-			liveCount -= pool.drainHalts()
-			if shardMerged {
-				// The round was merged shard-locally: delivery, inbox
-				// resets, and per-message accounting all happened inside
-				// the workers; only the shard counters remain to fold.
-				pool.collect(&stats)
-				continue
-			}
-			// serialMerge mode, or a send violation was detected: fall
-			// through to the caller-side merge below, which reproduces the
-			// sequential runner byte-for-byte (including the abort path's
-			// partial accounting — env.out was left intact).
-		} else if fr != nil {
-			// Frontier compute walk: run only the active nodes, compacting
-			// halters and sleepers out of the sorted list in place, and
-			// record the round's senders as a by-product.
-			fr.admitWoken(round)
-			fr.senders = fr.senders[:0]
-			keep := fr.active[:0]
-			for _, id := range fr.active {
-				if halted[id] {
-					continue
-				}
-				env := envs[id]
-				env.beginRound()
-				h := nodes[id].Round(round, inboxes[id])
-				if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
-					fr.senders = append(fr.senders, id)
-				}
-				if h {
-					halted[id] = true
-					liveCount--
-					continue
-				}
-				if env.sleepUntil > round+1 {
-					fr.park(id, env.sleepUntil)
-					continue
-				}
-				keep = append(keep, id)
-			}
-			fr.active = keep
-		} else {
-			for id, n := range nodes {
-				if halted[id] {
-					continue
-				}
-				envs[id].beginRound()
-				if n.Round(round, inboxes[id]) {
-					halted[id] = true
-					liveCount--
-				}
-			}
+		k.compute(round)
+		k.clearInboxes()
+		if k.del != nil {
+			k.del.beginRound(round)
 		}
-
-		// Deterministic merge: walk staged messages in ascending sender-id
-		// order, account for them, and bucket them straight into next-round
-		// inboxes. Because each sender stages at most one message per
-		// recipient per round (enforced by Env.Send) and senders are walked
-		// in id order, every inbox comes out sorted by sender id with no
-		// per-inbox sort — an invariant the engine tests verify.
-		// The merge reuses the inbox and delivered buffers, so steady-state
-		// rounds allocate nothing here. Under the frontier scheduler the
-		// walk covers only the round's sender list (k-way merged across
-		// shards in parallel runs, since shard id ranges may interleave)
-		// and the clears cover only last round's recipients.
-		m.delivered = m.delivered[:0]
-		if mf != nil {
-			mf.clearInboxes(inboxes)
-		} else {
-			for id := range inboxes {
-				inboxes[id] = inboxes[id][:0]
-			}
+		if err := k.drain(round); err != nil {
+			return k.result(round+1, err)
 		}
-		if del != nil {
-			del.beginRound(round)
-		}
-		if mf != nil {
-			var ids []int32
-			if pool != nil {
-				mergeIDs = pool.mergedSenders(mergeIDs[:0])
-				ids = mergeIDs
-			} else {
-				ids = fr.senders
-			}
-			for _, id := range ids {
-				if err := m.drain(round, envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = liveCount
-					return stats, err
-				}
-			}
-		} else {
-			for id := range nodes {
-				if err := m.drain(round, envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = liveCount
-					return stats, err
-				}
-			}
-		}
-		if del != nil {
-			del.injectForged(round)
-			del.finishRound(round)
+		if k.del != nil {
+			k.del.injectForged(round)
+			k.del.finishRound(round)
 			if cfg.Observer != nil {
-				cfg.Observer(round, del.delivered)
+				cfg.Observer(round, k.del.delivered)
 			}
 		} else if cfg.Observer != nil {
-			cfg.Observer(round, m.delivered)
+			cfg.Observer(round, k.delivered)
 		}
 	}
-}
-
-// merger drains one sender's staged state on the caller goroutine: message
-// accounting, fault-pipeline handoff or plain delivery, and the env's
-// out/rejected resets. It is the shared body of the dense full-population
-// walk and the frontier sender-list walk, so the two cannot drift.
-type merger struct {
-	stats     *Stats
-	del       *delivery
-	mf        *frontier // frontier bookkeeping (recipients, wakes); nil in dense mode
-	halted    []bool
-	inboxes   [][]Message
-	observe   bool
-	delivered []Message // observer's per-round view, reused across rounds
-}
-
-// drain processes one node's staged output for the round, returning the
-// node's recorded send violation, if any, before touching its messages.
-func (m *merger) drain(round int, env *Env) error {
-	if env.sendErr != nil {
-		return env.sendErr
-	}
-	if len(env.out) > 0 {
-		m.stats.Senders++
-	}
-	for _, msg := range env.out {
-		m.stats.Messages++
-		m.stats.Bits += int64(msg.Bits())
-		if msg.Bits() > m.stats.MaxMessageBits {
-			m.stats.MaxMessageBits = msg.Bits()
-		}
-		if m.del != nil {
-			m.del.transmit(round, msg)
-			continue
-		}
-		if m.observe {
-			m.delivered = append(m.delivered, msg)
-		}
-		// Messages to halted nodes are delivered to nobody but still
-		// counted (and still observed).
-		if !m.halted[msg.To] {
-			if m.mf != nil {
-				m.mf.noteRecipient(int32(msg.To), len(m.inboxes[msg.To]) == 0)
-			}
-			m.inboxes[msg.To] = append(m.inboxes[msg.To], msg)
-			if m.mf != nil {
-				m.mf.wake(int32(msg.To))
-			}
-		}
-	}
-	// A node that halts this round may have sent final messages; drain them
-	// so they are not re-counted on later rounds.
-	env.out = env.out[:0]
-	// Drain the node's fail-closed reject counter into Stats on the caller
-	// goroutine (the Round call that incremented it finished at the round
-	// barrier, so this is race-free in both runners).
-	if env.rejected != 0 {
-		m.stats.Rejected += env.rejected
-		env.rejected = 0
-	}
-	return nil
 }
 
 // fireEvent is one precompiled fault-schedule entry: the crash or recovery

@@ -220,7 +220,7 @@ func TestRunNodeCountMismatch(t *testing.T) {
 
 // recNode records everything it receives and halts at a fixed round,
 // optionally sending a random byte to each neighbour first. It drives the
-// parallel-vs-sequential equivalence test.
+// Run-vs-RunShard equivalence tests.
 type recNode struct {
 	env     *Env
 	stopAt  int
@@ -245,7 +245,7 @@ func (rn *recNode) Round(r int, inbox []Message) bool {
 	return false
 }
 
-func runRec(t *testing.T, parallel bool, workers int) ([]Stats, [][]string) {
+func runRec(t *testing.T, shards int) (Stats, [][]string) {
 	t.Helper()
 	g := mustGraph(t, 6, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	nodes := make([]Node, 6)
@@ -254,7 +254,13 @@ func runRec(t *testing.T, parallel bool, workers int) ([]Stats, [][]string) {
 		recs[i] = &recNode{stopAt: 5}
 		nodes[i] = recs[i]
 	}
-	stats, err := Run(g, nodes, Config{Seed: 42, Parallel: parallel, Workers: workers})
+	var stats Stats
+	var err error
+	if shards == 0 {
+		stats, err = Run(g, nodes, Config{Seed: 42})
+	} else {
+		stats, err = runFleet(t, g, nodes, Config{Seed: 42}, shards)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,33 +268,36 @@ func runRec(t *testing.T, parallel bool, workers int) ([]Stats, [][]string) {
 	for i, r := range recs {
 		logs[i] = r.log
 	}
-	return []Stats{stats}, logs
+	return stats, logs
 }
 
+// TestParallelMatchesSequential: the same workload run as concurrent
+// RunShard spans over a ChanNetwork, at every shard count, reproduces
+// Run's Stats and per-node receive logs exactly.
 func TestParallelMatchesSequential(t *testing.T) {
-	seqStats, seqLogs := runRec(t, false, 0)
-	for _, workers := range []int{1, 2, 3, 8} {
-		parStats, parLogs := runRec(t, true, workers)
-		if seqStats[0] != parStats[0] {
-			t.Fatalf("workers=%d stats differ: %+v vs %+v", workers, seqStats[0], parStats[0])
+	seqStats, seqLogs := runRec(t, 0)
+	for _, shards := range []int{1, 2, 3, 8} {
+		parStats, parLogs := runRec(t, shards)
+		if seqStats != parStats {
+			t.Fatalf("shards=%d stats differ: %+v vs %+v", shards, seqStats, parStats)
 		}
 		for id := range seqLogs {
 			if len(seqLogs[id]) != len(parLogs[id]) {
-				t.Fatalf("workers=%d node %d log length %d vs %d", workers, id, len(seqLogs[id]), len(parLogs[id]))
+				t.Fatalf("shards=%d node %d log length %d vs %d", shards, id, len(seqLogs[id]), len(parLogs[id]))
 			}
 			for k := range seqLogs[id] {
 				if seqLogs[id][k] != parLogs[id][k] {
-					t.Fatalf("workers=%d node %d entry %d: %q vs %q", workers, id, k, seqLogs[id][k], parLogs[id][k])
+					t.Fatalf("shards=%d node %d entry %d: %q vs %q", shards, id, k, seqLogs[id][k], parLogs[id][k])
 				}
 			}
 		}
 	}
 }
 
-// TestParallelEquivalenceProperty repeats the equivalence check over random
-// seeds via testing/quick.
+// TestParallelEquivalenceProperty repeats the Run/RunShard equivalence
+// check over random seeds via testing/quick, at 2 shards.
 func TestParallelEquivalenceProperty(t *testing.T) {
-	run := func(seed int64, parallel bool) (Stats, [][]string, error) {
+	run := func(seed int64, shards int) (Stats, [][]string, error) {
 		g := mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}})
 		nodes := make([]Node, 5)
 		recs := make([]*recNode, 5)
@@ -296,7 +305,13 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 			recs[i] = &recNode{stopAt: 4}
 			nodes[i] = recs[i]
 		}
-		st, err := Run(g, nodes, Config{Seed: seed, Parallel: parallel, Workers: 4})
+		var st Stats
+		var err error
+		if shards == 0 {
+			st, err = Run(g, nodes, Config{Seed: seed})
+		} else {
+			st, err = runFleet(t, g, nodes, Config{Seed: seed}, shards)
+		}
 		logs := make([][]string, 5)
 		for i, r := range recs {
 			logs[i] = r.log
@@ -304,8 +319,8 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 		return st, logs, err
 	}
 	f := func(seed int64) bool {
-		s1, l1, err1 := run(seed, false)
-		s2, l2, err2 := run(seed, true)
+		s1, l1, err1 := run(seed, 0)
+		s2, l2, err2 := run(seed, 2)
 		if err1 != nil || err2 != nil || s1 != s2 {
 			return false
 		}
@@ -323,6 +338,121 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stressGraph is a 24-node graph with an irregular degree distribution, so
+// that work per span is uneven and shard boundaries cut real traffic.
+func stressGraph(t *testing.T) *Graph {
+	t.Helper()
+	g := NewGraph(24)
+	add := func(u, v int) {
+		if err := g.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 23; i++ {
+		add(i, i+1) // path backbone
+	}
+	for i := 2; i < 24; i += 3 {
+		add(0, i) // hub at node 0
+	}
+	add(5, 20)
+	add(7, 15)
+	return g
+}
+
+// sortedInboxNode fails the run if its inbox ever arrives unsorted by
+// sender id or with a duplicate sender — the invariant that lets the merge
+// skip the per-inbox sort entirely.
+type sortedInboxNode struct {
+	env    *Env
+	t      *testing.T
+	stopAt int
+}
+
+func (s *sortedInboxNode) Init(env *Env) { s.env = env }
+
+func (s *sortedInboxNode) Round(r int, inbox []Message) bool {
+	for k := 1; k < len(inbox); k++ {
+		if inbox[k-1].From >= inbox[k].From {
+			s.t.Errorf("node %d round %d: inbox out of order or duplicated: %d then %d",
+				s.env.ID(), r, inbox[k-1].From, inbox[k].From)
+		}
+	}
+	if r >= s.stopAt {
+		return true
+	}
+	s.env.Broadcast([]byte{byte(r)})
+	return false
+}
+
+// TestInboxesArriveSortedWithoutSort guards the sorted-merge invariant:
+// ascending-sender merge order plus the one-message-per-pair rule means
+// Run's inboxes are born sorted, so the engine does not sort them; under
+// RunShard the remote ingest restores the same order.
+func TestInboxesArriveSortedWithoutSort(t *testing.T) {
+	for _, shards := range []int{0, 2, 8} {
+		g := stressGraph(t)
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			nodes[i] = &sortedInboxNode{t: t, stopAt: 6}
+		}
+		var err error
+		if shards == 0 {
+			_, err = Run(g, nodes, Config{Seed: 5})
+		} else {
+			_, err = runFleet(t, g, nodes, Config{Seed: 5}, shards)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStatsRoundsOnRoundLimit: aborting on the round budget reports the
+// rounds actually executed, not zero — and RunShard at one shard aborts
+// with the same error and the same Stats as Run.
+func TestStatsRoundsOnRoundLimit(t *testing.T) {
+	stats, err := Run(NewGraph(1), []Node{spinNode{}}, Config{MaxRounds: 10})
+	if !errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	}
+	if stats.Rounds != 10 {
+		t.Fatalf("Rounds = %d, want 10 (the exhausted budget)", stats.Rounds)
+	}
+	shardStats, shardErr := runFleet(t, NewGraph(1), []Node{spinNode{}}, Config{MaxRounds: 10}, 1)
+	if shardErr == nil || shardErr.Error() != err.Error() {
+		t.Fatalf("RunShard error %v, want %v", shardErr, err)
+	}
+	if shardStats != stats {
+		t.Fatalf("RunShard stats %+v, want %+v", shardStats, stats)
+	}
+}
+
+// TestStatsRoundsOnSendError: a send violation aborts with the partial
+// round included in Rounds — and RunShard at one shard aborts with the
+// same error and the same Stats as Run.
+func TestStatsRoundsOnSendError(t *testing.T) {
+	setup := func() (*Graph, []Node) {
+		g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
+		return g, []Node{&errNode{mode: "nonNeighbor"}, &errNode{}, &errNode{}}
+	}
+	g, nodes := setup()
+	stats, err := Run(g, nodes, Config{BitLimit: 16})
+	if err == nil {
+		t.Fatal("want send violation")
+	}
+	if stats.Rounds != 1 {
+		t.Fatalf("Rounds = %d, want 1 (the round whose merge hit the violation)", stats.Rounds)
+	}
+	g, nodes = setup()
+	shardStats, shardErr := runFleet(t, g, nodes, Config{BitLimit: 16}, 1)
+	if shardErr == nil || shardErr.Error() != err.Error() {
+		t.Fatalf("RunShard error %v, want %v", shardErr, err)
+	}
+	if shardStats != stats {
+		t.Fatalf("RunShard stats %+v, want %+v", shardStats, stats)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestFaultsValidation(t *testing.T) {
 // crashes and one recovery — and returns the stats plus a flat transcript
 // of every node's receive log: one string that must be byte-identical
 // across runner configurations.
-func faultRun(t *testing.T, seed int64, parallel bool, workers int) (Stats, string) {
+func faultRun(t *testing.T, seed int64, dense bool) (Stats, string) {
 	t.Helper()
 	g := stressGraph(t)
 	n := g.N()
@@ -118,9 +118,8 @@ func faultRun(t *testing.T, seed int64, parallel bool, workers int) (Stats, stri
 		nodes[i] = recs[i]
 	}
 	stats, err := Run(g, nodes, Config{
-		Seed:     seed,
-		Parallel: parallel,
-		Workers:  workers,
+		Seed:  seed,
+		Dense: dense,
 		Faults: Faults{
 			DropProb:       0.3,
 			DropUntilRound: 6,
@@ -148,12 +147,13 @@ func faultRun(t *testing.T, seed int64, parallel bool, workers int) (Stats, stri
 
 // TestFaultScheduleDeterministicAcrossWorkers is the fault half of the I5
 // invariant: the injected drop/dup/delay stream and the crash, recovery,
-// burst, partition, and link schedules are part of the seeded run, so
-// sequential and parallel runs at any worker count must produce identical
-// stats and identical per-node transcripts — and a different seed must
-// produce a different fault pattern.
+// burst, partition, and link schedules are part of the seeded run, so the
+// frontier scheduler and the dense reference must produce identical stats
+// and identical per-node transcripts — and a different seed must produce a
+// different fault pattern. Fault draws happen on the caller goroutine in
+// global sender order, so no execution mode can reorder them.
 func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
-	refStats, refLog := faultRun(t, 424242, false, 0)
+	refStats, refLog := faultRun(t, 424242, false)
 	if refStats.Dropped == 0 || refStats.Duplicated == 0 || refStats.Delayed == 0 {
 		t.Fatalf("schedule too tame: %+v", refStats)
 	}
@@ -163,22 +163,20 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 	if refStats.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want the single scheduled recovery", refStats.Recovered)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		stats, log := faultRun(t, 424242, true, workers)
-		if stats != refStats {
-			t.Errorf("workers=%d: stats %+v differ from sequential %+v", workers, stats, refStats)
-		}
-		if log != refLog {
-			t.Errorf("workers=%d: transcript diverged from sequential run", workers)
-		}
+	denseStats, denseLog := faultRun(t, 424242, true)
+	if denseStats != refStats {
+		t.Errorf("dense stats %+v differ from frontier %+v", denseStats, refStats)
+	}
+	if denseLog != refLog {
+		t.Error("dense transcript diverged from frontier run")
 	}
 	// Same seed, same runner: the schedule is a pure function of the config.
-	againStats, againLog := faultRun(t, 424242, false, 0)
+	againStats, againLog := faultRun(t, 424242, false)
 	if againStats != refStats || againLog != refLog {
 		t.Error("re-running the identical sequential config changed the outcome")
 	}
 	// A different seed must actually reshuffle the fault stream.
-	_, otherLog := faultRun(t, 424243, false, 0)
+	_, otherLog := faultRun(t, 424243, false)
 	if otherLog == refLog {
 		t.Error("different seed produced an identical transcript; fault stream is not seed-derived")
 	}

@@ -5,11 +5,7 @@ import "slices"
 // frontier is the active-set bookkeeping of the sparse round scheduler: it
 // tracks which nodes must actually run, send, or be cleared each round, so
 // steady-state per-round cost is O(active + delivered) instead of O(n).
-// The sequential runner owns one frontier over all node ids; the sharded
-// runner gives each shard a frontier over its members (sharing one asleep
-// array, whose entries are only ever touched by the owning shard's worker
-// or by the caller between rounds) plus a caller-side frontier that owns
-// the recipient list when the merge runs on the caller goroutine.
+// Each round kernel owns one frontier over its span's node ids.
 //
 // A node is in exactly one place at a time: the sorted active list (it
 // runs every round), or parked with asleep[id] set (a SleepUntil
@@ -18,8 +14,8 @@ import "slices"
 // admitWoken merges the batch back into the active list before the next
 // compute walk, preserving ascending-id execution order (invariant I5).
 type frontier struct {
-	// asleep marks nodes parked by Env.SleepUntil. Shared across the
-	// per-shard frontiers of one run, indexed by global node id.
+	// asleep marks nodes parked by Env.SleepUntil, indexed by global node
+	// id.
 	asleep []bool
 	// active holds the runnable node ids in ascending order; the compute
 	// walk compacts halting, crashing, and sleeping nodes out in place.
@@ -38,9 +34,8 @@ type frontier struct {
 	// existing entry already fires no later than the new declaration — the
 	// node wakes early, which the SleepUntil contract makes a no-op — so a
 	// node that is delivery-woken and re-parks every round contributes one
-	// heap entry, not one per round. Shared across the per-shard frontiers
-	// of one run like asleep, and indexed by global node id; 0 is "unset"
-	// (park is only ever called with until >= 2).
+	// heap entry, not one per round. Indexed by global node id like asleep;
+	// 0 is "unset" (park is only ever called with until >= 2).
 	timerAt []int
 	// senders lists, in ascending id order, this round's merge-relevant
 	// nodes: staged output, a recorded send violation, or a fail-closed
@@ -50,23 +45,18 @@ type frontier struct {
 	// next round's merge clears exactly those instead of ranging over all
 	// n inboxes.
 	recips []int32
-	// onWake, when set, reroutes the re-admission half of a message wake:
-	// the serial-merge pool's caller-side frontier clears asleep itself
-	// but must stage the id in the owning shard's woken list. nil when the
-	// frontier owns its own active/woken lists.
-	onWake func(id int32)
 }
 
-// newFrontier returns a frontier whose active list is ids 0..n-1 and whose
-// asleep array it owns.
-func newFrontier(n int) *frontier {
+// newFrontier returns a frontier over an n-node graph whose active list is
+// the ids of span.
+func newFrontier(n int, span Span) *frontier {
 	f := &frontier{
 		asleep:  make([]bool, n),
 		timerAt: make([]int, n),
-		active:  make([]int32, n),
+		active:  make([]int32, span.Len()),
 	}
 	for i := range f.active {
-		f.active[i] = int32(i)
+		f.active[i] = int32(span.Lo + i)
 	}
 	return f
 }
@@ -80,10 +70,6 @@ func (f *frontier) wake(id int32) {
 		return
 	}
 	f.asleep[id] = false
-	if f.onWake != nil {
-		f.onWake(id)
-		return
-	}
 	f.woken = append(f.woken, id)
 }
 

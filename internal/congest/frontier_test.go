@@ -83,7 +83,7 @@ func drowsySchedules() []struct {
 	}
 }
 
-func runDrowsy(t *testing.T, f Faults, dense, parallel bool, shards int) (Stats, [][]string) {
+func runDrowsy(t *testing.T, f Faults, dense bool) (Stats, [][]string) {
 	t.Helper()
 	g := stressGraph(t)
 	n := g.N()
@@ -94,11 +94,9 @@ func runDrowsy(t *testing.T, f Faults, dense, parallel bool, shards int) (Stats,
 		nodes[i] = drows[i]
 	}
 	stats, err := Run(g, nodes, Config{
-		Seed:     424242,
-		Dense:    dense,
-		Parallel: parallel,
-		Shards:   shards,
-		Faults:   f,
+		Seed:   424242,
+		Dense:  dense,
+		Faults: f,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,15 +109,15 @@ func runDrowsy(t *testing.T, f Faults, dense, parallel bool, shards int) (Stats,
 }
 
 // TestFrontierDeterminismMatrix pins invariant I5 over the dormancy grid:
-// for every fault schedule, the frontier scheduler — sequential and at
-// shard counts 1, 2, and 8 — must reproduce the dense reference runner's
-// execution byte for byte: identical Stats (the activity counters
-// included) and identical per-node receive logs.
+// for every fault schedule, the frontier scheduler must reproduce the
+// dense reference runner's execution byte for byte: identical Stats (the
+// activity counters included) and identical per-node receive logs. The
+// RunShard arm of the same grid is TestTransportFrontierMatchesDense.
 func TestFrontierDeterminismMatrix(t *testing.T) {
 	for _, sc := range drowsySchedules() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			denseStats, denseLogs := runDrowsy(t, sc.f, true, false, 0)
+			denseStats, denseLogs := runDrowsy(t, sc.f, true)
 			if denseStats.Senders == 0 || denseStats.LiveNodeRounds == 0 {
 				t.Fatalf("schedule too tame: %+v", denseStats)
 			}
@@ -133,12 +131,8 @@ func TestFrontierDeterminismMatrix(t *testing.T) {
 					}
 				}
 			}
-			seqStats, seqLogs := runDrowsy(t, sc.f, false, false, 0)
-			check("frontier-seq", seqStats, seqLogs)
-			for _, shards := range []int{1, 2, 8} {
-				st, logs := runDrowsy(t, sc.f, false, true, shards)
-				check(fmt.Sprintf("frontier-shards=%d", shards), st, logs)
-			}
+			seqStats, seqLogs := runDrowsy(t, sc.f, false)
+			check("frontier", seqStats, seqLogs)
 		})
 	}
 }
@@ -232,10 +226,9 @@ func TestFrontierSkipsQuiescentNodes(t *testing.T) {
 
 // TestFrontierObserverParity is the tracing regression: with frontier
 // bookkeeping active the observer must still see every delivered message,
-// in the same per-round global-sender order as the dense reference,
-// sequential and sharded alike.
+// in the same per-round global-sender order as the dense reference.
 func TestFrontierObserverParity(t *testing.T) {
-	observeRun := func(dense, parallel bool, shards int) ([]string, Stats) {
+	observeRun := func(dense bool) ([]string, Stats) {
 		g := stressGraph(t)
 		nodes := make([]Node, g.N())
 		for i := range nodes {
@@ -243,10 +236,8 @@ func TestFrontierObserverParity(t *testing.T) {
 		}
 		var stream []string
 		stats, err := Run(g, nodes, Config{
-			Seed:     7,
-			Dense:    dense,
-			Parallel: parallel,
-			Shards:   shards,
+			Seed:  7,
+			Dense: dense,
 			Observer: func(round int, delivered []Message) {
 				last := -1
 				for _, m := range delivered {
@@ -263,26 +254,16 @@ func TestFrontierObserverParity(t *testing.T) {
 		}
 		return stream, stats
 	}
-	denseStream, denseStats := observeRun(true, false, 0)
+	denseStream, denseStats := observeRun(true)
 	if len(denseStream) == 0 {
 		t.Fatal("workload too tame: nothing observed")
 	}
-	for _, v := range []struct {
-		label    string
-		parallel bool
-		shards   int
-	}{
-		{label: "frontier-seq"},
-		{label: "frontier-shards=2", parallel: true, shards: 2},
-		{label: "frontier-shards=8", parallel: true, shards: 8},
-	} {
-		stream, stats := observeRun(false, v.parallel, v.shards)
-		if stats != denseStats {
-			t.Errorf("%s: stats diverged:\n%+v\n%+v", v.label, stats, denseStats)
-		}
-		if fmt.Sprint(stream) != fmt.Sprint(denseStream) {
-			t.Errorf("%s: observer stream diverged (%d vs %d deliveries)", v.label, len(stream), len(denseStream))
-		}
+	stream, stats := observeRun(false)
+	if stats != denseStats {
+		t.Errorf("frontier stats diverged:\n%+v\n%+v", stats, denseStats)
+	}
+	if fmt.Sprint(stream) != fmt.Sprint(denseStream) {
+		t.Errorf("frontier observer stream diverged (%d vs %d deliveries)", len(stream), len(denseStream))
 	}
 }
 
@@ -343,7 +324,7 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 		return total, logs
 	}
 
-	seqStats, seqLogs := runDrowsy(t, Faults{}, false, false, 0)
+	seqStats, seqLogs := runDrowsy(t, Faults{}, false)
 	for _, k := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			denseStats, denseLogs := fleet(true, k)

@@ -132,22 +132,33 @@ func TestMISRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestMISParallelEquivalence: Luby's MIS run as concurrent RunShard spans
+// over a ChanNetwork, at shard counts 1, 2 and 8, reproduces
+// MaximalIndependentSet's membership and Stats.
 func TestMISParallelEquivalence(t *testing.T) {
 	g := mustGraph(t, 7, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 0}, {0, 3}})
 	a, sa, err := MaximalIndependentSet(g, Config{Seed: 9}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := MaximalIndependentSet(g, Config{Seed: 9, Parallel: true, Workers: 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa != sb {
-		t.Fatalf("stats diverged: %+v vs %+v", sa, sb)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("membership diverged at %d", i)
+	for _, k := range []int{1, 2, 8} {
+		nodes := make([]Node, g.N())
+		lubys := make([]*lubyNode, g.N())
+		for i := range nodes {
+			lubys[i] = &lubyNode{}
+			nodes[i] = lubys[i]
+		}
+		sb, err := runFleet(t, g, nodes, Config{Seed: 9}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa != sb {
+			t.Fatalf("k=%d stats diverged: %+v vs %+v", k, sa, sb)
+		}
+		for i := range a {
+			if !lubys[i].decided || a[i] != lubys[i].inMIS {
+				t.Fatalf("k=%d membership diverged at %d", k, i)
+			}
 		}
 	}
 }

@@ -233,10 +233,10 @@ func TestReliableShimDeliversAfterRecovery(t *testing.T) {
 }
 
 // TestReliableShimDeterministicAcrossWorkers runs the shim under heavy
-// loss on the stress graph and holds sequential and parallel runs to
-// byte-identical transcripts and stats.
+// loss on the stress graph and holds the frontier scheduler, the dense
+// reference and a replay to byte-identical transcripts and stats.
 func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
-	run := func(parallel bool, workers int) (Stats, string) {
+	run := func(dense bool) (Stats, string) {
 		g := stressGraph(t)
 		nodes := make([]Node, g.N())
 		recs := make([]*chaosNode, g.N())
@@ -245,9 +245,8 @@ func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
 			nodes[i] = recs[i]
 		}
 		stats, err := Run(g, nodes, Config{
-			Seed:     7,
-			Parallel: parallel,
-			Workers:  workers,
+			Seed:  7,
+			Dense: dense,
 			Faults: Faults{
 				DropProb:     0.4,
 				DelayProb:    0.2,
@@ -265,14 +264,14 @@ func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return stats, out
 	}
-	refStats, refLog := run(false, 0)
+	refStats, refLog := run(false)
 	if refStats.Retransmits == 0 {
 		t.Fatalf("schedule too tame, no retransmissions: %+v", refStats)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		stats, log := run(true, workers)
+	for _, dense := range []bool{true, false} {
+		stats, log := run(dense)
 		if stats != refStats || log != refLog {
-			t.Errorf("workers=%d diverged: %+v vs %+v", workers, stats, refStats)
+			t.Errorf("dense=%v diverged: %+v vs %+v", dense, stats, refStats)
 		}
 	}
 }

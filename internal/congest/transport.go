@@ -2,21 +2,20 @@ package congest
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
-// This file is the engine's transport seam: the distributed counterpart of
-// the fused in-process runners in engine.go/shard.go. A Transport moves one
-// round's framed per-edge payloads between shards that live in different
+// This file is the engine's transport seam. A Transport moves one round's
+// framed per-edge payloads between shards that live in different
 // goroutines or different processes; RunShard is the round loop one shard
-// executes against it. Two implementations exist: ChanNetwork (below) wires
-// shards of a single process together with channels-free sync primitives
-// and is the reference for the barrier semantics, and
-// internal/transport/udp speaks real datagrams between processes with
-// retry/timeout/backoff and graceful degradation. The fused runners remain
-// the fast path — Run with Config.Parallel never touches this seam — and
-// stay byte-identical to the sequential engine (invariant I5).
+// executes against it, on the same round kernel (kernel.go) that Run
+// drives in-process, so the two stay byte-identical (invariant I5). Two
+// implementations exist: ChanNetwork (below) wires shards of a single
+// process together with sync primitives and is the reference for the
+// barrier semantics, and internal/transport/udp speaks real datagrams
+// between processes with retry/timeout/backoff and graceful degradation.
+// Multi-core and multi-host parallelism lives here, in the fleet; Run
+// itself is single-goroutine.
 
 // Span is a contiguous range of node ids [Lo, Hi) owned by one shard of a
 // distributed run.
@@ -31,8 +30,8 @@ func (s Span) Contains(id int) bool { return id >= s.Lo && id < s.Hi }
 func (s Span) Len() int { return s.Hi - s.Lo }
 
 // SplitSpans partitions node ids 0..n-1 into k contiguous spans of size
-// n/k±1 (earlier spans take the remainder), the static id-range analogue of
-// the in-proc runner's topology shards. k is clamped to [1, n] for n > 0.
+// n/k±1 (earlier spans take the remainder). k is clamped to [1, n] for
+// n > 0.
 func SplitSpans(n, k int) []Span {
 	if n <= 0 {
 		return []Span{{0, 0}}
@@ -136,11 +135,15 @@ type Transport interface {
 // results are read out of them by the caller exactly as with Run. Stats
 // cover the local shard only; the coordinator aggregates across shards.
 //
-// The execution of each node is byte-identical to the same node under the
-// in-process runners whenever the transport delivers every message: node
-// seeds derive from (cfg.Seed, id) exactly as in Run, and every inbox is
+// RunShard is the round kernel over span, the same one Run drives over
+// every node, plus the Transport exchange: out-of-span messages are shipped
+// with Send and the remote arrivals Gather returns are ingested into local
+// inboxes. The execution of each node is byte-identical to the same node
+// under Run whenever the transport delivers every message: node seeds
+// derive from (cfg.Seed, id) exactly as in Run, and every inbox is
 // delivered sorted by ascending sender id. Lost remote messages degrade the
-// run exactly like injected drop faults.
+// run exactly like injected drop faults; a remote message no faithful peer
+// can have sent aborts it.
 func RunShard(g *Graph, nodes []Node, span Span, cfg Config, tr Transport) (Stats, error) {
 	if len(nodes) != g.N() {
 		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
@@ -162,229 +165,35 @@ func RunShard(g *Graph, nodes []Node, span Span, cfg Config, tr Transport) (Stat
 		maxRounds = DefaultMaxRounds
 	}
 
-	envs := make([]*Env, g.N())
-	halted := make([]bool, g.N())
-	inboxes := make([][]Message, g.N())
-	for id := span.Lo; id < span.Hi; id++ {
-		envs[id] = &Env{
-			id:       id,
-			graph:    g,
-			seed:     nodeSeed(cfg.Seed, id),
-			bitLimit: cfg.BitLimit,
-			sentGen:  make([]uint64, g.Degree(id)),
-			gen:      1,
-		}
-		nodes[id].Init(envs[id])
-	}
-
-	// Frontier scheduler state over the span (nil in dense mode), the
-	// transport-runner analogue of Run's: a sleeping node stays live — the
-	// shard keeps reporting allHalted=false for it — but costs nothing
-	// until a timer or an arrival (local or remote) wakes it. asleep is
-	// indexed by global node id; only span entries are ever touched.
-	var fr *frontier
-	spanLive := span.Len()
-	if !cfg.Dense {
-		fr = &frontier{asleep: make([]bool, g.N()), timerAt: make([]int, g.N()), active: make([]int32, 0, span.Len())}
-		for id := span.Lo; id < span.Hi; id++ {
-			fr.active = append(fr.active, int32(id))
-		}
-	}
-	// remoteMark/remoteIDs track which inboxes took remote arrivals this
-	// round, so the frontier path re-sorts only those instead of the span.
-	var remoteMark []bool
-	var remoteIDs []int32
-	if fr != nil {
-		remoteMark = make([]bool, g.N())
-	}
-
-	var stats Stats
-	var out []Message
-	drain := func(env *Env) error {
-		if env.sendErr != nil {
-			return env.sendErr
-		}
-		if len(env.out) > 0 {
-			stats.Senders++
-		}
-		for _, msg := range env.out {
-			stats.Messages++
-			stats.Bits += int64(msg.Bits())
-			if msg.Bits() > stats.MaxMessageBits {
-				stats.MaxMessageBits = msg.Bits()
-			}
-			if span.Contains(msg.To) {
-				// Messages to halted nodes are delivered to nobody but
-				// still counted, as in Run.
-				if !halted[msg.To] {
-					if fr != nil {
-						fr.noteRecipient(int32(msg.To), len(inboxes[msg.To]) == 0)
-					}
-					inboxes[msg.To] = append(inboxes[msg.To], msg)
-					if fr != nil {
-						fr.wake(int32(msg.To))
-					}
-				}
-			} else {
-				out = append(out, msg)
-			}
-		}
-		env.out = env.out[:0]
-		if env.rejected != 0 {
-			stats.Rejected += env.rejected
-			env.rejected = 0
-		}
-		return nil
-	}
+	k := newKernel(g, nodes, span, cfg)
+	k.inMark = make([]bool, span.Len())
 	for round := 0; ; round++ {
 		start, err := tr.Begin(round)
 		if err != nil {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: begin round %d: %w", round, err)
+			return k.result(round, fmt.Errorf("congest: begin round %d: %w", round, err))
 		}
 		if start.Done {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, nil
+			return k.result(round, nil)
 		}
 		if round >= maxRounds {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
+			return k.result(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
 		}
-		stats.LiveNodeRounds += int64(spanLive)
+		k.stats.LiveNodeRounds += int64(k.live)
 
-		var allHalted bool
-		if fr != nil {
-			fr.admitWoken(round)
-			fr.senders = fr.senders[:0]
-			keep := fr.active[:0]
-			for _, id := range fr.active {
-				if halted[id] {
-					continue
-				}
-				env := envs[id]
-				env.beginRound()
-				h := nodes[id].Round(round, inboxes[id])
-				if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
-					fr.senders = append(fr.senders, id)
-				}
-				if h {
-					halted[id] = true
-					spanLive--
-					continue
-				}
-				if env.sleepUntil > round+1 {
-					fr.park(id, env.sleepUntil)
-					continue
-				}
-				keep = append(keep, id)
-			}
-			fr.active = keep
-			allHalted = spanLive == 0
-		} else {
-			allHalted = true
-			for id := span.Lo; id < span.Hi; id++ {
-				if halted[id] {
-					continue
-				}
-				envs[id].beginRound()
-				if nodes[id].Round(round, inboxes[id]) {
-					halted[id] = true
-					spanLive--
-				} else {
-					allHalted = false
-				}
-			}
+		k.compute(round)
+		k.clearInboxes()
+		if err := k.drain(round); err != nil {
+			return k.result(round+1, err)
 		}
-
-		// Merge phase: walk local senders in ascending id order (so local
-		// deliveries land born-sorted, as in Run), account every staged
-		// message, and split deliveries into local inbox appends and the
-		// remote batch the transport ships. The frontier walk covers only
-		// the round's sender list and clears only last round's recipients.
-		if fr != nil {
-			fr.clearInboxes(inboxes)
-		} else {
-			for id := span.Lo; id < span.Hi; id++ {
-				inboxes[id] = inboxes[id][:0]
-			}
+		if err := tr.Send(round, k.remote); err != nil {
+			return k.result(round+1, fmt.Errorf("congest: send round %d: %w", round, err))
 		}
-		out = out[:0]
-		if fr != nil {
-			for _, id := range fr.senders {
-				if err := drain(envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = spanLive
-					return stats, err
-				}
-			}
-		} else {
-			for id := span.Lo; id < span.Hi; id++ {
-				if err := drain(envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = spanLive
-					return stats, err
-				}
-			}
-		}
-		if err := tr.Send(round, out); err != nil {
-			stats.Rounds = round + 1
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: send round %d: %w", round, err)
-		}
-		in, err := tr.Gather(round, allHalted)
+		in, err := tr.Gather(round, k.live == 0)
 		if err != nil {
-			stats.Rounds = round + 1
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: gather round %d: %w", round, err)
+			return k.result(round+1, fmt.Errorf("congest: gather round %d: %w", round, err))
 		}
-		remote := false
-		for _, msg := range in {
-			if !span.Contains(msg.To) {
-				stats.Rounds = round + 1
-				stats.FinalLive = spanLive
-				return stats, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, span.Lo, span.Hi)
-			}
-			if !halted[msg.To] {
-				if fr != nil {
-					fr.noteRecipient(int32(msg.To), len(inboxes[msg.To]) == 0)
-					if !remoteMark[msg.To] {
-						remoteMark[msg.To] = true
-						remoteIDs = append(remoteIDs, int32(msg.To))
-					}
-				}
-				inboxes[msg.To] = append(inboxes[msg.To], msg)
-				if fr != nil {
-					fr.wake(int32(msg.To))
-				}
-				remote = true
-			}
-		}
-		if remote {
-			// Local appends are already sorted by sender id; remote arrivals
-			// land behind them in transport order. Re-establish the engine's
-			// born-sorted inbox invariant per receiving node. The sort is
-			// deterministic: a sender stages at most one message per
-			// recipient per round, so sender ids within an inbox are unique.
-			if fr != nil {
-				for _, id := range remoteIDs {
-					box := inboxes[id]
-					if len(box) > 1 {
-						sort.Slice(box, func(a, b int) bool { return box[a].From < box[b].From })
-					}
-					remoteMark[id] = false
-				}
-				remoteIDs = remoteIDs[:0]
-			} else {
-				for id := span.Lo; id < span.Hi; id++ {
-					box := inboxes[id]
-					if len(box) > 1 {
-						sort.Slice(box, func(a, b int) bool { return box[a].From < box[b].From })
-					}
-				}
-			}
+		if err := k.ingest(g, in); err != nil {
+			return k.result(round+1, err)
 		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 // TestByzantineChaosMatrix is the acceptance grid for the byzantine
 // hardening: schedules combining per-message corruption, byzantine
 // facilities and clients, crashes and duplication must all yield a solution
-// that re-certifies through the public API and is byte-identical across the
-// sequential runner and shard counts of 1, 2, and 8 (invariant I5 under an
-// active adversary; the parallel arm goes through WithShards so the shard
-// spelling of the knob is covered end to end). Node ids: facility i is
-// node i (m = 12), client j is node 12+j.
+// that re-certifies through the public API and is byte-identical under the
+// frontier scheduler and the dense reference (invariant I5 under an active
+// adversary). Node ids: facility i is node i (m = 12), client j is node
+// 12+j.
 func TestByzantineChaosMatrix(t *testing.T) {
 	inst := chaosInstance(t)
 	cfg := Config{K: 16}
@@ -52,43 +51,40 @@ func TestByzantineChaosMatrix(t *testing.T) {
 	for _, sc := range schedules {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(parallel bool, workers int) (*fl.Solution, *Report) {
-				opts := []Option{WithSeed(31), WithFaults(sc.f),
-					WithParallel(parallel), WithShards(workers)}
+			run := func(dense bool) (*fl.Solution, *Report) {
+				opts := []Option{WithSeed(31), WithFaults(sc.f), WithDenseEngine(dense)}
 				opts = append(opts, sc.opts...)
 				if sc.rel > 0 {
 					opts = append(opts, WithReliableDelivery(sc.rel))
 				}
 				sol, rep, err := Solve(inst, cfg, opts...)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("dense=%v: %v", dense, err)
 				}
 				return sol, rep
 			}
-			refSol, refRep := run(false, 0)
+			refSol, refRep := run(false)
 			// Solve certified already; certify again through the public API
 			// so the exported exemption path is exercised too.
 			if err := Certify(inst, refSol, refRep); err != nil {
 				t.Fatal(err)
 			}
 			assertHonestServed(t, inst, refSol, refRep)
-			for _, workers := range []int{1, 2, 8} {
-				sol, rep := run(true, workers)
-				if rep.Net != refRep.Net {
-					t.Fatalf("workers=%d: net stats diverged:\n%+v\n%+v", workers, rep.Net, refRep.Net)
+			sol, rep := run(true)
+			if rep.Net != refRep.Net {
+				t.Fatalf("dense: net stats diverged:\n%+v\n%+v", rep.Net, refRep.Net)
+			}
+			if rep.Cost != refRep.Cost {
+				t.Fatalf("dense: cost %d != %d", rep.Cost, refRep.Cost)
+			}
+			for j := range refSol.Assign {
+				if sol.Assign[j] != refSol.Assign[j] {
+					t.Fatalf("dense: assignment differs at client %d", j)
 				}
-				if rep.Cost != refRep.Cost {
-					t.Fatalf("workers=%d: cost %d != %d", workers, rep.Cost, refRep.Cost)
-				}
-				for j := range refSol.Assign {
-					if sol.Assign[j] != refSol.Assign[j] {
-						t.Fatalf("workers=%d: assignment differs at client %d", workers, j)
-					}
-				}
-				for i := range refSol.Open {
-					if sol.Open[i] != refSol.Open[i] {
-						t.Fatalf("workers=%d: open set differs at facility %d", workers, i)
-					}
+			}
+			for i := range refSol.Open {
+				if sol.Open[i] != refSol.Open[i] {
+					t.Fatalf("dense: open set differs at facility %d", i)
 				}
 			}
 		})
@@ -200,32 +196,29 @@ func TestQuarantineCondemnsLureAttack(t *testing.T) {
 func TestByzantineSoftCapCertified(t *testing.T) {
 	inst := chaosInstance(t)
 	cfg := Config{K: 16, SoftCapacity: 4}
-	run := func(parallel bool, workers int) (*fl.CapSolution, *Report) {
+	run := func(dense bool) (*fl.CapSolution, *Report) {
 		sol, rep, err := SolveSoftCap(inst, cfg, WithSeed(17),
 			WithFaults(congest.Faults{CrashAtRound: map[int]int{5: 9}}),
-			WithCorruption(0.2), WithByzantine(0, 2, 7),
-			WithParallel(parallel), WithWorkers(workers))
+			WithCorruption(0.2), WithByzantine(0, 2, 7), WithDenseEngine(dense))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("dense=%v: %v", dense, err)
 		}
 		return sol, rep
 	}
-	refSol, refRep := run(false, 0)
+	refSol, refRep := run(false)
 	if err := CertifyCap(inst, cfg.SoftCapacity, refSol, refRep); err != nil {
 		t.Fatal(err)
 	}
 	if refSol.Copies[2] != 0 || refSol.Copies[7] != 0 {
 		t.Fatal("byzantine facility kept open copies")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		sol, rep := run(true, workers)
-		if rep.Net != refRep.Net {
-			t.Fatalf("workers=%d: net stats diverged", workers)
-		}
-		for j := range refSol.Assign {
-			if sol.Assign[j] != refSol.Assign[j] {
-				t.Fatalf("workers=%d: assignment differs at client %d", workers, j)
-			}
+	sol, rep := run(true)
+	if rep.Net != refRep.Net {
+		t.Fatal("dense: net stats diverged")
+	}
+	for j := range refSol.Assign {
+		if sol.Assign[j] != refSol.Assign[j] {
+			t.Fatalf("dense: assignment differs at client %d", j)
 		}
 	}
 }

@@ -24,8 +24,8 @@ func chaosInstance(t *testing.T) *fl.Instance {
 // adversarial schedule — probabilistic drops up to 0.5, multiple crashes,
 // crash-with-recovery, duplication, bounded reordering, bursts, partitions,
 // and their combination, with and without the reliable shim — must yield a
-// certified solution, byte-identical across the sequential runner and
-// worker pools of 1, 2, and 8 (invariant I5 under faults).
+// certified solution, byte-identical under the frontier scheduler and the
+// dense reference (invariant I5 under faults).
 //
 // Node ids: facility i is node i (m = 12), client j is node 12+j. With
 // K = 16 the sweep is 64 rounds; every crash lands strictly before the
@@ -41,9 +41,8 @@ func TestChaosMatrix(t *testing.T) {
 		rel  int // reliable-delivery retry budget; 0 = shim off
 	}{
 		// Fault-free first: Faults{} skips the fault delivery layer, so
-		// this row is the one that drives the sharded per-destination
-		// merge end to end through the solver (the faulty rows merge on
-		// the caller goroutine, workers computing only).
+		// this row drives the kernel's plain drain end to end through the
+		// solver (the faulty rows drain through the fault pipeline).
 		{name: "fault_free", f: congest.Faults{}},
 		{name: "drop_light", f: congest.Faults{DropProb: 0.2}},
 		{name: "drop_heavy", f: congest.Faults{DropProb: 0.5}},
@@ -80,19 +79,18 @@ func TestChaosMatrix(t *testing.T) {
 	for _, sc := range schedules {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(parallel bool, workers int) (*fl.Solution, *Report) {
-				opts := []Option{WithSeed(31), WithFaults(sc.f),
-					WithParallel(parallel), WithWorkers(workers)}
+			run := func(dense bool) (*fl.Solution, *Report) {
+				opts := []Option{WithSeed(31), WithFaults(sc.f), WithDenseEngine(dense)}
 				if sc.rel > 0 {
 					opts = append(opts, WithReliableDelivery(sc.rel))
 				}
 				sol, rep, err := Solve(inst, cfg, opts...)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("dense=%v: %v", dense, err)
 				}
 				return sol, rep
 			}
-			refSol, refRep := run(false, 0)
+			refSol, refRep := run(false)
 			// Solve certified already; certify again through the public
 			// API so the exported path is exercised too.
 			if err := Certify(inst, refSol, refRep); err != nil {
@@ -108,23 +106,21 @@ func TestChaosMatrix(t *testing.T) {
 			if sc.rel > 0 && refRep.Net.Acks == 0 {
 				t.Fatal("reliable schedule produced no acks")
 			}
-			for _, workers := range []int{1, 2, 8} {
-				sol, rep := run(true, workers)
-				if rep.Net != refRep.Net {
-					t.Fatalf("workers=%d: net stats diverged:\n%+v\n%+v", workers, rep.Net, refRep.Net)
+			sol, rep := run(true)
+			if rep.Net != refRep.Net {
+				t.Fatalf("dense: net stats diverged:\n%+v\n%+v", rep.Net, refRep.Net)
+			}
+			if rep.Cost != refRep.Cost {
+				t.Fatalf("dense: cost %d != %d", rep.Cost, refRep.Cost)
+			}
+			for j := range refSol.Assign {
+				if sol.Assign[j] != refSol.Assign[j] {
+					t.Fatalf("dense: assignment differs at client %d", j)
 				}
-				if rep.Cost != refRep.Cost {
-					t.Fatalf("workers=%d: cost %d != %d", workers, rep.Cost, refRep.Cost)
-				}
-				for j := range refSol.Assign {
-					if sol.Assign[j] != refSol.Assign[j] {
-						t.Fatalf("workers=%d: assignment differs at client %d", workers, j)
-					}
-				}
-				for i := range refSol.Open {
-					if sol.Open[i] != refSol.Open[i] {
-						t.Fatalf("workers=%d: open set differs at facility %d", workers, i)
-					}
+			}
+			for i := range refSol.Open {
+				if sol.Open[i] != refSol.Open[i] {
+					t.Fatalf("dense: open set differs at facility %d", i)
 				}
 			}
 		})
@@ -186,7 +182,8 @@ func TestChaosAllFacilitiesDead(t *testing.T) {
 }
 
 // TestChaosSoftCapCertified runs the capacitated variant through a mixed
-// schedule and holds it to the same certified, worker-identical contract.
+// schedule and holds it to the same certified, scheduler-identical
+// contract.
 func TestChaosSoftCapCertified(t *testing.T) {
 	inst := chaosInstance(t)
 	cfg := Config{K: 16, SoftCapacity: 4}
@@ -195,30 +192,28 @@ func TestChaosSoftCapCertified(t *testing.T) {
 		DupProb:      0.2,
 		CrashAtRound: map[int]int{4: 15},
 	}
-	run := func(parallel bool, workers int) (*fl.CapSolution, *Report) {
+	run := func(dense bool) (*fl.CapSolution, *Report) {
 		sol, rep, err := SolveSoftCap(inst, cfg, WithSeed(17), WithFaults(faults),
-			WithParallel(parallel), WithWorkers(workers), WithReliableDelivery(2))
+			WithDenseEngine(dense), WithReliableDelivery(2))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("dense=%v: %v", dense, err)
 		}
 		return sol, rep
 	}
-	refSol, refRep := run(false, 0)
+	refSol, refRep := run(false)
 	if err := CertifyCap(inst, cfg.SoftCapacity, refSol, refRep); err != nil {
 		t.Fatal(err)
 	}
 	if refRep.Net.Crashed != 1 {
 		t.Fatalf("crashed %d, want 1", refRep.Net.Crashed)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		sol, rep := run(true, workers)
-		if rep.Net != refRep.Net || rep.Cost != refRep.Cost {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, rep, refRep)
-		}
-		for j := range refSol.Assign {
-			if sol.Assign[j] != refSol.Assign[j] {
-				t.Fatalf("workers=%d: assignment differs at client %d", workers, j)
-			}
+	sol, rep := run(true)
+	if rep.Net != refRep.Net || rep.Cost != refRep.Cost {
+		t.Fatalf("dense diverged: %+v vs %+v", rep, refRep)
+	}
+	for j := range refSol.Assign {
+		if sol.Assign[j] != refSol.Assign[j] {
+			t.Fatalf("dense: assignment differs at client %d", j)
 		}
 	}
 }

@@ -175,26 +175,28 @@ func TestSolveDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestSolveParallelMatchesSequential: the instance solved as 2 and 8
+// concurrent shards over a ChanNetwork and assembled reproduces Solve's
+// cost, assignment and protocol-level message accounting.
 func TestSolveParallelMatchesSequential(t *testing.T) {
-	inst, err := gen.Uniform{M: 12, NC: 50, Density: 0.4, MinDegree: 1}.Generate(6)
+	inst, err := gen.Uniform{M: 14, NC: 70, Density: 0.35, MinDegree: 1}.Generate(21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(9))
+	ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(9), WithParallel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Cost(inst) != sp.Cost(inst) || rs.Net != rp.Net {
-		t.Fatalf("parallel run diverged: cost %d vs %d, net %+v vs %+v",
-			ss.Cost(inst), sp.Cost(inst), rs.Net, rp.Net)
-	}
-	for j := range ss.Assign {
-		if ss.Assign[j] != sp.Assign[j] {
-			t.Fatalf("assignment differs at client %d", j)
+	for _, k := range []int{2, 8} {
+		sp, rp := solveSharded(t, inst, Config{K: 16}, 8, k)
+		if ss.Cost(inst) != sp.Cost(inst) || rs.Net.Messages != rp.Net.Messages || rs.Net.Bits != rp.Net.Bits {
+			t.Fatalf("k=%d: sharded run diverged: cost %d vs %d, net %+v vs %+v",
+				k, ss.Cost(inst), sp.Cost(inst), rs.Net, rp.Net)
+		}
+		for j := range ss.Assign {
+			if ss.Assign[j] != sp.Assign[j] {
+				t.Fatalf("k=%d: assignment differs at client %d", k, j)
+			}
 		}
 	}
 }
@@ -509,23 +511,30 @@ func TestSolveTightBitLimitRejected(t *testing.T) {
 	}
 }
 
+// TestObserverParallelSeesSameTraffic: on a fault-free run the observer
+// sees every protocol message exactly once, under the frontier scheduler
+// and the dense reference alike.
 func TestObserverParallelSeesSameTraffic(t *testing.T) {
 	inst, err := gen.Uniform{M: 8, NC: 30}.Generate(14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(parallel bool) int64 {
+	count := func(dense bool) (int64, int64) {
 		var n int64
-		_, _, err := Solve(inst, Config{K: 9}, WithSeed(2), WithParallel(parallel),
+		_, rep, err := Solve(inst, Config{K: 9}, WithSeed(2), WithDenseEngine(dense),
 			WithObserver(func(round int, delivered []congest.Message) {
 				n += int64(len(delivered))
 			}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return n, rep.Net.Messages
 	}
-	if a, b := count(false), count(true); a != b {
+	a, msgs := count(false)
+	if a != msgs {
+		t.Fatalf("observer saw %d deliveries, run sent %d messages", a, msgs)
+	}
+	if b, _ := count(true); a != b {
 		t.Fatalf("observer traffic differs: %d vs %d", a, b)
 	}
 }

@@ -94,10 +94,9 @@ func TestSolveFeasibleUnderLossProperty(t *testing.T) {
 	}
 }
 
-// TestSolveParallelLossyEquivalence combines I5 and I7: the pooled
-// parallel runner must stay byte-identical to the sequential one — stats,
-// costs, and per-client assignments — even with message drops injected,
-// for every worker-pool size.
+// TestSolveParallelLossyEquivalence combines I5 and I7: the frontier
+// scheduler must stay byte-identical to the dense reference — stats,
+// costs, and per-client assignments — even with message drops injected.
 func TestSolveParallelLossyEquivalence(t *testing.T) {
 	inst, err := gen.Uniform{M: 14, NC: 70, Density: 0.35, MinDegree: 1}.Generate(21)
 	if err != nil {
@@ -108,25 +107,20 @@ func TestSolveParallelLossyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%.1f sequential: %v", p, err)
 		}
-		for _, workers := range []int{1, 2, 7, 0} { // 0 = GOMAXPROCS
-			sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithLossyNetwork(p),
-				WithParallel(true), WithWorkers(workers))
-			if err != nil {
-				t.Fatalf("p=%.1f workers=%d: %v", p, workers, err)
-			}
-			if rs.Net != rp.Net {
-				t.Fatalf("p=%.1f workers=%d: net stats diverged: %+v vs %+v",
-					p, workers, rs.Net, rp.Net)
-			}
-			if ss.Cost(inst) != sp.Cost(inst) {
-				t.Fatalf("p=%.1f workers=%d: cost %d vs %d",
-					p, workers, ss.Cost(inst), sp.Cost(inst))
-			}
-			for j := range ss.Assign {
-				if ss.Assign[j] != sp.Assign[j] {
-					t.Fatalf("p=%.1f workers=%d: assignment differs at client %d",
-						p, workers, j)
-				}
+		sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithLossyNetwork(p),
+			WithDenseEngine(true))
+		if err != nil {
+			t.Fatalf("p=%.1f dense: %v", p, err)
+		}
+		if rs.Net != rp.Net {
+			t.Fatalf("p=%.1f: net stats diverged: %+v vs %+v", p, rs.Net, rp.Net)
+		}
+		if ss.Cost(inst) != sp.Cost(inst) {
+			t.Fatalf("p=%.1f: cost %d vs %d", p, ss.Cost(inst), sp.Cost(inst))
+		}
+		for j := range ss.Assign {
+			if ss.Assign[j] != sp.Assign[j] {
+				t.Fatalf("p=%.1f: assignment differs at client %d", p, j)
 			}
 		}
 	}

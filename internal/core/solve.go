@@ -75,9 +75,6 @@ type Report struct {
 // options collects run-level knobs; see the With* functions.
 type options struct {
 	seed        int64
-	parallel    bool
-	workers     int
-	shards      int
 	bitLimit    int // <0: engine default from network size; 0: unlimited
 	observer    func(round int, delivered []congest.Message)
 	dropProb    float64
@@ -95,23 +92,6 @@ type Option func(*options)
 // WithSeed sets the seed for all protocol randomness. Runs are fully
 // reproducible from (instance, config, seed).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
-
-// WithParallel runs the simulator with its persistent worker-pool round
-// executor. The execution is identical to the sequential one.
-func WithParallel(parallel bool) Option { return func(o *options) { o.parallel = parallel } }
-
-// WithWorkers bounds the worker/shard count used by WithParallel; 0 means
-// GOMAXPROCS. It has no effect on a sequential run.
-func WithWorkers(workers int) Option { return func(o *options) { o.workers = workers } }
-
-// WithShards sets the number of topology shards the parallel runner
-// partitions the communication graph into (each shard is owned by one
-// persistent worker); it overrides WithWorkers when both are given.
-// Executions are byte-identical across shard counts — the solver's
-// delivery-order assumptions (inboxes sorted by sender id, fault draws in
-// global sender order) are preserved by the per-destination-shard merge —
-// so this is purely a performance knob.
-func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
 
 // WithBitLimit overrides the CONGEST message-size budget in bits
 // (0 disables the check). The default is congest.SuggestedBitLimit of the
@@ -431,9 +411,6 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 		BitLimit:  bitLimit,
 		Seed:      o.seed,
 		MaxRounds: maxRounds,
-		Parallel:  o.parallel,
-		Workers:   o.workers,
-		Shards:    o.shards,
 		Observer:  o.observer,
 		Faults:    faults,
 		Reliable:  congest.Reliable{RetryBudget: o.retryBudget},

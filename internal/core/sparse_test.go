@@ -9,8 +9,8 @@ import (
 )
 
 // TestDenseEngineMatchesFrontier pins the protocol's dormancy declarations
-// (the SleepUntil calls in nodes.go) as sound: the frontier scheduler —
-// sequential and sharded — must reproduce the dense reference engine's
+// (the SleepUntil calls in nodes.go) as sound: the frontier scheduler
+// must reproduce the dense reference engine's
 // execution exactly, down to the per-round observer stream, under honest,
 // lossy, crash-with-recovery, and corrupt+byzantine schedules. Any node
 // that oversleeps a round in which it would have changed state, sent, or
@@ -40,7 +40,7 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 		report Report
 		stream []string
 	}
-	run := func(sc []Option, dense bool, shards int) trace {
+	run := func(sc []Option, dense bool) trace {
 		var stream []string
 		opts := append([]Option{WithSeed(31), WithDenseEngine(dense),
 			WithObserver(func(round int, delivered []congest.Message) {
@@ -48,9 +48,6 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 					stream = append(stream, fmt.Sprintf("r%d %d>%d %x", round, m.From, m.To, m.Payload))
 				}
 			})}, sc...)
-		if shards > 0 {
-			opts = append(opts, WithParallel(true), WithShards(shards))
-		}
 		sol, rep, err := Solve(inst, cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +58,7 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 	for _, sc := range schedules {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			dense := run(sc.opts, true, 0)
+			dense := run(sc.opts, true)
 			if len(dense.stream) == 0 {
 				t.Fatal("schedule too tame: nothing observed")
 			}
@@ -77,10 +74,7 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 						label, len(got.stream), len(dense.stream))
 				}
 			}
-			check("frontier-seq", run(sc.opts, false, 0))
-			for _, shards := range []int{2, 8} {
-				check(fmt.Sprintf("frontier-shards=%d", shards), run(sc.opts, false, shards))
-			}
+			check("frontier", run(sc.opts, false))
 		})
 	}
 }

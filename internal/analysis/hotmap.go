@@ -18,6 +18,7 @@ var hotmapFiles = map[string]bool{
 	"kernel.go":   true, // the round kernel: compute walk, drain, ingest
 	"nodes.go":    true, // facility/client state machines
 	"frontier.go": true, // active-set bookkeeping on the per-round path
+	"delivery.go": true, // fault pipeline and reliable shim: per-frame link state
 }
 
 // Hotmap guards that layout: inside the hot-path files of the protocol

@@ -195,6 +195,17 @@ func (g *Graph) NeighborIndex(u, v int) (int, bool) {
 	return pos, true
 }
 
+// edgeSlot returns the directed-edge slot of u -> v: rowStart[u] plus v's
+// position in u's sorted row, a dense index in [0, 2*EdgeCount()) that flat
+// per-directed-edge arrays are indexed by. Env.Send stages v's position
+// with every message, so the drain derives the slot without this search;
+// edgeSlot serves the paths that start from a node pair. The edge must
+// exist.
+func (g *Graph) edgeSlot(u, v int) int {
+	pos, _ := g.NeighborIndex(u, v)
+	return g.rowStart[u] + pos
+}
+
 // Bipartite builds the communication graph of a facility-location instance:
 // facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
 // client j) pair in edges becomes a communication edge. The returned graph
@@ -268,9 +279,17 @@ type Env struct {
 	// lazily on first Rand() call. A math/rand source alone is ~5 KiB, so
 	// eager construction would dominate engine memory in the million-node
 	// regime — and most nodes (clients, benchmark chatter) never draw.
-	seed     int64
-	rng      *rand.Rand
-	out      []Message
+	seed int64
+	rng  *rand.Rand
+	out  []Message
+	// outPos[i] is out[i]'s recipient position in the sorted row (the
+	// NeighborIndex order), so rowStart[id]+outPos[i] is the message's
+	// directed-edge slot, which the fault pipeline indexes its per-link
+	// state by. A view into a flat per-run block that Run allocates only
+	// when the fault pipeline is on; nil otherwise, and then nothing is
+	// staged. A node sends at most once per neighbour per round, so the
+	// view never outgrows its capacity.
+	outPos   []int32
 	bitLimit int
 	sendErr  error
 	// sentGen records, per neighbour position (NeighborIndex order), the
@@ -374,6 +393,9 @@ func (e *Env) Send(to int, payload []byte) {
 	n := len(e.arena)
 	e.arena = append(e.arena, payload...)
 	e.out = append(e.out, Message{From: e.id, To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
+	if e.outPos != nil {
+		e.outPos = append(e.outPos, int32(pos))
+	}
 }
 
 // Broadcast stages the same payload to every neighbour.
@@ -385,6 +407,7 @@ func (e *Env) Broadcast(payload []byte) {
 
 func (e *Env) beginRound() {
 	e.out = e.out[:0]
+	e.outPos = e.outPos[:0]
 	e.gen++
 	e.sleepUntil = 0
 	// Double-buffer swap: the payloads staged last round (e.arena) are

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -20,11 +21,46 @@ type Reliable struct {
 	// single frame beyond its initial attempt; 0 disables the shim
 	// entirely. A frame sent in round r is retried at rounds r+2, r+5,
 	// r+9, ... (attempt a is followed by a wait of a+1 rounds) until it is
-	// acknowledged or the budget is exhausted.
+	// acknowledged or the budget is exhausted. Run rejects a budget whose
+	// last retry, plus the longest configured delay, could land 64 or more
+	// rounds after the frame's first send (see validate).
 	RetryBudget int
 }
 
 func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
+
+// seqWindowLen is the number of sequence numbers a SeqWindow tracks.
+const seqWindowLen = 64
+
+// validate rejects budgets the receive window cannot serve. A link carries
+// at most one new frame per round, so a frame that reaches its receiver s
+// rounds after its first send has at most s newer frames ahead of it, and
+// the 64-entry window still tracks it only while s < 64. Retry a of a
+// frame leaves at round a(a+3)/2 after the first send, and a delay fault
+// adds up to MaxDelay more rounds on the wire. Past the window a late
+// frame would be taken for a duplicate — acknowledged and dropped with no
+// link-down report — so the configuration fails closed instead.
+func (r Reliable) validate(f *Faults) error {
+	if r.RetryBudget < 0 {
+		return fmt.Errorf("congest: RetryBudget %d is negative", r.RetryBudget)
+	}
+	if r.RetryBudget == 0 {
+		return nil
+	}
+	delay := 0
+	if f.DelayProb > 0 {
+		delay = f.MaxDelay
+	}
+	// Capping b keeps the product from overflowing; any b >= 10 already
+	// spans past the window.
+	b := min(r.RetryBudget, seqWindowLen)
+	span := b * (b + 3) / 2
+	if span >= seqWindowLen || delay >= seqWindowLen-span {
+		return fmt.Errorf("congest: RetryBudget %d with MaxDelay %d can land a frame past the %d-frame receive window (worst case b(b+3)/2 + MaxDelay must stay below %d)",
+			r.RetryBudget, delay, seqWindowLen, seqWindowLen)
+	}
+	return nil
+}
 
 // delivery is the fault-aware message path. The kernel's plain drain is an
 // inbox append; this layer replaces it whenever faults or the reliable shim
@@ -54,11 +90,11 @@ type delivery struct {
 	// byzFrom[id] is the round from which node id is byzantine, -1 when it
 	// never is; nil when no byzantine schedule is configured.
 	byzFrom []int
-	// byzSent tracks, per directed link, the merge round (stored as
-	// round+1 so the map's zero value never collides with round 0) in which
-	// a byzantine sender last staged a real message, so the injection pass
+	// byzSent stamps, per directed-edge slot, the merge round (stored as
+	// round+1 so the zero value never collides with round 0) in which a
+	// byzantine sender last staged a real message, so the injection pass
 	// only forges on links the node left silent.
-	byzSent map[uint64]int
+	byzSent []int
 	// checkFrames arms the reliable shim's link-layer framing check
 	// (ValidatePayload on every arrival). It is armed only under corruption
 	// or byzantine schedules: protocols outside the payload registry (tests,
@@ -116,14 +152,13 @@ func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand
 				d.byzFrom[id] = -1
 			}
 		}
-		d.byzSent = make(map[uint64]int)
+		d.byzSent = make([]int, len(g.nbrs))
 	}
 	if rel.enabled() {
 		d.shim = &reliShim{
-			n:       n,
 			budget:  rel.RetryBudget,
-			nextSeq: make(map[uint64]uint64),
-			recvWin: make(map[uint64]*SeqWindow),
+			nextSeq: make([]uint64, len(g.nbrs)),
+			recvWin: make([]SeqWindow, len(g.nbrs)),
 		}
 	}
 	return d
@@ -140,14 +175,16 @@ func (d *delivery) beginRound(round int) {
 }
 
 // transmit runs one staged protocol message through the fault pipeline (or
-// hands it to the shim). Called in ascending sender-id order; the payload
-// still lives in the sender's round arena, so anything that outlives this
-// round is copied. A byzantine sender's payload is adversarially rewritten
-// first — independently per recipient, so a broadcast equivocates by
-// construction — and the rewrite is what the shim sequences and retransmits.
-func (d *delivery) transmit(round int, msg Message) {
+// hands it to the shim). slot is the message's directed-edge slot (see
+// Graph.edgeSlot), which indexes all per-link state.
+// Called in ascending sender-id order; the payload still lives in the
+// sender's round arena, so anything that outlives this round is copied. A
+// byzantine sender's payload is adversarially rewritten first —
+// independently per recipient, so a broadcast equivocates by construction
+// — and the rewrite is what the shim sequences and retransmits.
+func (d *delivery) transmit(round int, msg Message, slot int) {
 	if d.byzantineAt(msg.From, round) {
-		d.byzSent[linkKey(msg.From, msg.To, d.graph.N())] = round + 1
+		d.byzSent[slot] = round + 1
 		p := d.forge(round, msg.From, msg.To, msg.Payload)
 		if p == nil {
 			return // the adversary chose silence on this link
@@ -156,7 +193,7 @@ func (d *delivery) transmit(round int, msg Message) {
 		msg.Payload = p
 	}
 	if d.shim != nil {
-		d.shim.sendData(d, round, msg)
+		d.shim.sendData(d, round, msg, slot)
 		return
 	}
 	d.plainTransmit(round, msg)
@@ -196,13 +233,12 @@ func (d *delivery) injectForged(round int) {
 	if d.byzFrom == nil {
 		return
 	}
-	n := d.graph.N()
-	for id := 0; id < n; id++ {
+	for id := 0; id < d.graph.N(); id++ {
 		if !d.byzantineAt(id, round) || d.halted[id] {
 			continue
 		}
 		for _, to := range d.graph.Neighbors(id) {
-			if d.byzSent[linkKey(id, to, n)] == round+1 {
+			if d.byzSent[d.graph.edgeSlot(id, to)] == round+1 {
 				continue
 			}
 			p := d.forge(round, id, to, nil)
@@ -301,6 +337,7 @@ func (d *delivery) finishRound(round int) {
 				d.commit(dm.msg, true)
 			}
 		}
+		clear(d.delayed[len(kept):]) // drop stale references so settled frames can be collected
 		d.delayed = kept
 	}
 	if d.shim != nil {
@@ -323,11 +360,13 @@ func insertByFrom(inbox []Message, msg Message) []Message {
 // (per-directed-link counters and receive windows) models the link
 // hardware, not protocol state: it survives node crashes and recoveries,
 // which is what lets a retransmission land after its receiver rejoins.
+// Both arrays are flat over the frozen graph's directed-edge slots: link
+// from -> to lives at the sender-side slot Graph.edgeSlot(from, to), so
+// the per-frame path does no hashing and no adjacency search.
 type reliShim struct {
-	n       int
 	budget  int
-	nextSeq map[uint64]uint64
-	recvWin map[uint64]*SeqWindow
+	nextSeq []uint64    // next sequence number the sender assigns
+	recvWin []SeqWindow // the receiver's duplicate filter
 	// pending holds unacknowledged frames in creation order; acknowledged
 	// and dead frames are compacted out as they are encountered.
 	pending []*frame
@@ -340,6 +379,7 @@ type reliShim struct {
 // frame is one sequenced protocol message owned by the shim.
 type frame struct {
 	from, to int
+	slot     int // directed-edge slot of from -> to
 	seq      uint64
 	payload  []byte
 	attempts int // wire transmissions so far (1 = the initial send)
@@ -354,19 +394,15 @@ type ackEvent struct {
 	tx int
 }
 
-func linkKey(from, to, n int) uint64 {
-	return uint64(from)*uint64(n) + uint64(to)
-}
-
 // sendData wraps one staged protocol message into a fresh frame and runs
 // its initial wire attempt.
-func (s *reliShim) sendData(d *delivery, round int, msg Message) {
-	key := linkKey(msg.From, msg.To, s.n)
-	seq := s.nextSeq[key]
-	s.nextSeq[key] = seq + 1
+func (s *reliShim) sendData(d *delivery, round int, msg Message, slot int) {
+	seq := s.nextSeq[slot]
+	s.nextSeq[slot] = seq + 1
 	f := &frame{
 		from:     msg.From,
 		to:       msg.To,
+		slot:     slot,
 		seq:      seq,
 		payload:  append([]byte(nil), msg.Payload...),
 		attempts: 1,
@@ -426,7 +462,7 @@ func (s *reliShim) arrive(d *delivery, round int, f *frame, payload []byte, inje
 			return
 		}
 	}
-	if s.win(linkKey(f.from, f.to, s.n)).Accept(f.seq) {
+	if s.recvWin[f.slot].Accept(f.seq) {
 		d.commit(Message{From: f.from, To: f.to, Payload: payload}, injected)
 	}
 	s.acks = append(s.acks, ackEvent{f: f, tx: round + 1})
@@ -460,6 +496,7 @@ func (s *reliShim) processAcks(d *delivery, round int) {
 		}
 		a.f.acked = true
 	}
+	clear(s.acks[len(kept):]) // as in finishRound
 	s.acks = kept
 }
 
@@ -496,28 +533,21 @@ func (s *reliShim) retransmitDue(d *delivery, round int) {
 		s.attempt(d, round, f, true)
 		kept = append(kept, f)
 	}
+	clear(s.pending[len(kept):]) // as in finishRound
 	s.pending = kept
 }
 
-// onCrash wipes the crashed node's receive windows: its inbox state died
-// with it, so frames it had accepted but never processed must be accepted
-// again when retransmitted after recovery. Sender-side sequence counters
-// (its own nextSeq entries and its peers' windows for frames it sent) are
-// deliberately left intact — resetting them would make post-recovery
-// frames collide with pre-crash history at the receivers.
-func (s *reliShim) onCrash(id int) {
-	for from := 0; from < s.n; from++ {
-		delete(s.recvWin, linkKey(from, id, s.n))
+// onCrash wipes the crashed node's receive windows — the slots of its
+// incoming links, one per neighbour, found in O(deg log deg): its inbox
+// state died with it, so frames it had accepted but never processed must be
+// accepted again when retransmitted after recovery. Sender-side sequence
+// counters (its own nextSeq entries and its peers' windows for frames it
+// sent) are deliberately left intact — resetting them would make
+// post-recovery frames collide with pre-crash history at the receivers.
+func (s *reliShim) onCrash(g *Graph, id int) {
+	for _, from := range g.Neighbors(id) {
+		s.recvWin[g.edgeSlot(from, id)] = SeqWindow{}
 	}
-}
-
-func (s *reliShim) win(key uint64) *SeqWindow {
-	w := s.recvWin[key]
-	if w == nil {
-		w = &SeqWindow{}
-		s.recvWin[key] = w
-	}
-	return w
 }
 
 // SeqWindow deduplicates a directed link's frames with a sliding 64-entry
@@ -538,14 +568,14 @@ func (w *SeqWindow) Accept(seq uint64) bool {
 	if seq < w.base {
 		return false
 	}
-	if seq >= w.base+64 {
-		shift := seq - 63 - w.base
-		if shift >= 64 {
+	if seq >= w.base+seqWindowLen {
+		shift := seq - (seqWindowLen - 1) - w.base
+		if shift >= seqWindowLen {
 			w.mask = 0
 		} else {
 			w.mask >>= shift
 		}
-		w.base = seq - 63
+		w.base = seq - (seqWindowLen - 1)
 	}
 	bit := uint64(1) << (seq - w.base)
 	if w.mask&bit != 0 {

@@ -104,8 +104,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	if err := cfg.Faults.validate(len(nodes), nodes); err != nil {
 		return Stats{}, err
 	}
-	if cfg.Reliable.RetryBudget < 0 {
-		return Stats{}, fmt.Errorf("congest: RetryBudget %d is negative", cfg.Reliable.RetryBudget)
+	if err := cfg.Reliable.validate(&cfg.Faults); err != nil {
+		return Stats{}, err
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
@@ -128,6 +128,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
 		}
 		crashed = make([]bool, len(nodes))
+		k.stagePositions(g)
 		k.del = newDelivery(&cfg.Faults, g, cfg.BitLimit, cfg.Reliable, faultRng, k.halted, crashed, k.inboxes, &k.stats, k.observe, cfg.OnLinkDown)
 		k.del.fr = k.fr
 	}
@@ -163,7 +164,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 				k.fr.dropCrashed(int32(id))
 			}
 			if k.del.shim != nil {
-				k.del.shim.onCrash(id)
+				k.del.shim.onCrash(g, id)
 			}
 		}
 		// Recovery rejoins a crashed node with empty protocol state: the

@@ -100,6 +100,24 @@ func TestFaultsValidation(t *testing.T) {
 	if _, err := Run(g, plain(), Config{Reliable: Reliable{RetryBudget: -1}}); err == nil || !strings.Contains(err.Error(), "RetryBudget") {
 		t.Fatalf("negative retry budget accepted: %v", err)
 	}
+	// The shim's worst-case span b(b+3)/2 + MaxDelay must stay below its
+	// 64-frame receive window: budget 2 spans 5 rounds, so MaxDelay 58 is
+	// the largest delay it tolerates. A MaxDelay with no DelayProb delays
+	// nothing and does not count.
+	for _, tt := range []struct {
+		budget, maxDelay int
+		delayProb        float64
+		ok               bool
+	}{
+		{9, 0, 0, true}, {10, 0, 0, false}, {1 << 40, 0, 0, false},
+		{2, 58, 0.1, true}, {2, 59, 0.1, false}, {2, 1 << 40, 0.1, false}, {2, 59, 0, true},
+	} {
+		f := Faults{DelayProb: tt.delayProb, MaxDelay: tt.maxDelay}
+		_, err := Run(g, plain(), Config{Faults: f, Reliable: Reliable{RetryBudget: tt.budget}})
+		if (err == nil) != tt.ok || (err != nil && !strings.Contains(err.Error(), "receive window")) {
+			t.Errorf("RetryBudget %d, MaxDelay %d, DelayProb %v: Run = %v, want ok=%v", tt.budget, tt.maxDelay, tt.delayProb, err, tt.ok)
+		}
+	}
 }
 
 // faultRun executes the stress graph under a heavy fault schedule — drops,

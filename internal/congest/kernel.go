@@ -91,6 +91,20 @@ func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 	return k
 }
 
+// stagePositions gives every env of the span an outPos view into one flat
+// block with a slot per directed edge, partitioned by the CSR offsets like
+// sentGen, so Env.Send stages each message's sorted-row position for the
+// fault pipeline without allocating.
+func (k *kernel) stagePositions(g *Graph) {
+	base := g.rowStart[k.span.Lo]
+	all := make([]int32, g.rowStart[k.span.Hi]-base)
+	for i := range k.envs {
+		id := k.span.Lo + i
+		s, e := g.rowStart[id]-base, g.rowStart[id+1]-base
+		k.envs[i].outPos = all[s:s:e]
+	}
+}
+
 // env returns node id's environment.
 func (k *kernel) env(id int) *Env { return &k.envs[id-k.span.Lo] }
 
@@ -197,7 +211,7 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 	if len(env.out) > 0 {
 		k.stats.Senders++
 	}
-	for _, msg := range env.out {
+	for i, msg := range env.out {
 		bits := msg.Bits()
 		k.stats.Messages++
 		k.stats.Bits += int64(bits)
@@ -206,7 +220,7 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 		}
 		switch {
 		case k.del != nil:
-			k.del.transmit(round, msg)
+			k.del.transmit(round, msg, env.graph.rowStart[env.id]+int(env.outPos[i]))
 		case k.span.Contains(msg.To):
 			if k.observe {
 				k.delivered = append(k.delivered, msg)
@@ -219,6 +233,7 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 	// A node that halts this round may have sent final messages; drain them
 	// so they are not re-counted on later rounds.
 	env.out = env.out[:0]
+	env.outPos = env.outPos[:0]
 	if env.rejected != 0 {
 		k.stats.Rejected += env.rejected
 		env.rejected = 0

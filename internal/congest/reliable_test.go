@@ -275,3 +275,58 @@ func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// streamer sends one message to a fixed neighbour every round until its
+// stop round, numbering the payloads so a receiver can tell which arrived.
+type streamer struct {
+	env    *Env
+	to     int
+	stopAt int
+}
+
+func (s *streamer) Init(env *Env) { s.env = env }
+func (s *streamer) Round(r int, inbox []Message) bool {
+	if r >= s.stopAt {
+		return true
+	}
+	s.env.Send(s.to, []byte{byte(r)})
+	return false
+}
+
+// TestReliableShimWindowOverflowFailsClosed: a frame whose retries outlive
+// the receiver's 64-frame sequence window would be taken for a duplicate
+// when it finally lands — acknowledged and dropped with no LinkDowns and
+// no OnLinkDown report. Run must refuse such a configuration up front, and
+// a budget whose worst-case span fits the window must account for every
+// message: each one is either delivered or reported as a link down.
+func TestReliableShimWindowOverflowFailsClosed(t *testing.T) {
+	run := func(budget int) (*sink, Stats, int, error) {
+		g := mustGraph(t, 2, [][2]int{{0, 1}})
+		s := &sink{stopAt: 200}
+		reports := 0
+		stats, err := Run(g, []Node{&streamer{to: 1, stopAt: 100}, s}, Config{
+			Seed:       1,
+			Faults:     Faults{LinkDowns: []LinkDown{{U: 0, V: 1, RoundRange: RoundRange{0, 60}}}},
+			Reliable:   Reliable{RetryBudget: budget},
+			OnLinkDown: func(LinkDownError) { reports++ },
+		})
+		return s, stats, reports, err
+	}
+	// Retry 10 leaves 10*13/2 = 65 rounds after the first send: past the
+	// window.
+	if s, stats, _, err := run(10); err == nil {
+		t.Fatalf("budget 10 accepted: %d of 100 messages delivered, %d link downs", len(s.got), stats.LinkDowns)
+	}
+	// Retry 9 leaves 54 rounds: inside the window.
+	s, stats, reports, err := run(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(s.got))+stats.LinkDowns != 100 || int64(reports) != stats.LinkDowns {
+		t.Fatalf("%d delivered + %d link downs (%d reports), want every one of 100 messages accounted for",
+			len(s.got), stats.LinkDowns, reports)
+	}
+	if stats.LinkDowns == 0 {
+		t.Fatal("no frame died in the 60-round link down; the test no longer exercises the budget")
+	}
+}

@@ -129,7 +129,9 @@ func WithFaults(f congest.Faults) Option {
 // WithReliableDelivery layers the engine's per-link ack/retransmit shim
 // under every protocol message, with the given per-frame retransmission
 // budget (see congest.Reliable). Retransmit and ack traffic is accounted
-// separately in the report's Net stats, never in Messages/Bits.
+// separately in the report's Net stats, never in Messages/Bits. Solve
+// rejects a budget the shim's 64-frame receive window cannot serve: at
+// most 9, less under delay faults.
 func WithReliableDelivery(retryBudget int) Option {
 	return func(o *options) { o.retryBudget = retryBudget }
 }

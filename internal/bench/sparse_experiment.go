@@ -49,9 +49,9 @@ func (n *pulseNode) Round(r int, inbox []congest.Message) bool {
 // cancels per-run env construction and the two full-population rounds
 // every run contains (round 0, where all n nodes declare their sleep, and
 // the halt round, where all n wake to halt), which otherwise swamp the
-// steady state: what remains is the true per-round cost, O(n) bookkeeping
-// for dense regardless of activity, O(active + delivered) for the
-// frontier.
+// steady state: what remains is the true per-round cost, O(n) for dense
+// (SleepUntil ignored, so every live node runs every round) regardless of
+// activity, O(active + delivered) for the frontier.
 func SparseRounds(p Params) ([]Table, error) {
 	n, rounds, reps := 1_000_000, 48, 3
 	if p.Quick {

@@ -350,10 +350,10 @@ func (e *Env) Rand() *rand.Rand {
 // Round call (beginRound clears it), so a node woken early must sleep
 // again explicitly, and declarations of round <= current+1 change nothing
 // (the next round runs regardless). Soundness is the node's obligation:
-// the engine's dense reference
-// mode (Config.Dense) ignores the declaration and executes every round for
-// real, and the determinism suite pins frontier runs byte-identical to it,
-// so an unsound declaration surfaces as an I5 digest divergence.
+// under Config.Dense the walk ignores the declaration and executes every
+// round for real, and the determinism suite pins default runs
+// byte-identical to that, so an unsound declaration surfaces as an I5
+// digest divergence.
 func (e *Env) SleepUntil(round int) { e.sleepUntil = round }
 
 // Reject records that the node discarded one inbox frame as malformed.

@@ -62,12 +62,13 @@ func (r Reliable) validate(f *Faults) error {
 	return nil
 }
 
-// delivery is the fault-aware message path. The kernel's plain drain is an
-// inbox append; this layer replaces it whenever faults or the reliable shim
-// are configured, running on the caller goroutine during Run's
-// deterministic merge so that every fault-stream draw happens in global
-// sender order (invariant I5). It shares the kernel's halted/crashed/inbox
-// storage.
+// delivery is the fault-aware message path. The kernel's drain hands it
+// every staged message whenever faults or the reliable shim are configured;
+// it runs on the caller goroutine during Run's deterministic merge so that
+// every fault-stream draw happens in global sender order (invariant I5).
+// Whatever survives the wire lands through the kernel's deliver, the one
+// inbox write, so halting, observation and the frontier's recipient and
+// wake bookkeeping stay the kernel's alone.
 //
 // Per merge round the order of operations — and therefore the order of
 // fault-stream draws — is fixed: (1) acknowledgements due this round, (2)
@@ -77,16 +78,13 @@ func (r Reliable) validate(f *Faults) error {
 // (4) delayed messages coming out of flight, (5) shim retransmissions due
 // this round.
 type delivery struct {
+	k        *kernel
 	faults   *Faults
 	sched    *faultSchedule
 	rng      *rand.Rand // nil when no probabilistic fault is configured
 	graph    *Graph
 	bitLimit int
-	halted   []bool
 	crashed  []bool
-	inboxes  [][]Message
-	stats    *Stats
-	observe  bool
 	// byzFrom[id] is the round from which node id is byzantine, -1 when it
 	// never is; nil when no byzantine schedule is configured.
 	byzFrom []int
@@ -101,21 +99,12 @@ type delivery struct {
 	// user protocols) may legitimately ship unregistered frames, and absent
 	// an adversary every frame is trusted, exactly as before.
 	checkFrames bool
-	// delivered is the observer's per-round view (reused across rounds).
-	delivered []Message
 	// delayed holds messages and frames in flight past their send round.
 	delayed []delayedMsg
 	shim    *reliShim
 	// onLinkDown receives the typed per-link report when the shim abandons
 	// a frame with its retry budget exhausted (Config.OnLinkDown).
 	onLinkDown func(LinkDownError)
-	// fr is the kernel frontier of the sparse scheduler (nil in dense
-	// mode): commit records each recipient's first delivery of the round
-	// for the next round's inbox clears and wakes sleeping recipients.
-	// Every fault-path delivery — staged, delayed, retransmitted, forged —
-	// funnels through commit, so this one hook keeps the frontier's
-	// recipient list complete.
-	fr *frontier
 }
 
 // delayedMsg is one in-flight unit: either a plain message (payload owned
@@ -127,21 +116,22 @@ type delayedMsg struct {
 	f   *frame // non-nil when the unit is a shim frame
 }
 
-func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand.Rand, halted, crashed []bool, inboxes [][]Message, stats *Stats, observe bool, onLinkDown func(LinkDownError)) *delivery {
+// newDelivery builds the fault pipeline of kernel k from cfg's Faults,
+// Reliable and OnLinkDown; crashed marks the nodes Run's crash schedule
+// has taken down.
+func newDelivery(k *kernel, cfg *Config, g *Graph, rng *rand.Rand, crashed []bool) *delivery {
 	n := g.N()
+	faults := &cfg.Faults
 	d := &delivery{
+		k:           k,
 		faults:      faults,
 		sched:       faults.compile(n),
 		rng:         rng,
 		graph:       g,
-		bitLimit:    bitLimit,
-		halted:      halted,
+		bitLimit:    cfg.BitLimit,
 		crashed:     crashed,
-		inboxes:     inboxes,
-		stats:       stats,
-		observe:     observe,
 		checkFrames: faults.CorruptProb > 0 || len(faults.ByzantineFromRound) > 0,
-		onLinkDown:  onLinkDown,
+		onLinkDown:  cfg.OnLinkDown,
 	}
 	if len(faults.ByzantineFromRound) > 0 {
 		d.byzFrom = make([]int, n)
@@ -154,9 +144,9 @@ func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand
 		}
 		d.byzSent = make([]int, len(g.nbrs))
 	}
-	if rel.enabled() {
+	if cfg.Reliable.enabled() {
 		d.shim = &reliShim{
-			budget:  rel.RetryBudget,
+			budget:  cfg.Reliable.RetryBudget,
 			nextSeq: make([]uint64, len(g.nbrs)),
 			recvWin: make([]SeqWindow, len(g.nbrs)),
 		}
@@ -164,11 +154,9 @@ func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand
 	return d
 }
 
-// beginRound starts the merge of one round: reset the observer view and
-// land the acknowledgements due, so frames acked on schedule are never
-// retransmitted.
+// beginRound starts the merge of one round: land the acknowledgements due,
+// so frames acked on schedule are never retransmitted.
 func (d *delivery) beginRound(round int) {
-	d.delivered = d.delivered[:0]
 	if d.shim != nil {
 		d.shim.processAcks(d, round)
 	}
@@ -189,7 +177,7 @@ func (d *delivery) transmit(round int, msg Message, slot int) {
 		if p == nil {
 			return // the adversary chose silence on this link
 		}
-		d.stats.Forged++
+		d.k.stats.Forged++
 		msg.Payload = p
 	}
 	if d.shim != nil {
@@ -234,7 +222,7 @@ func (d *delivery) injectForged(round int) {
 		return
 	}
 	for id := 0; id < d.graph.N(); id++ {
-		if !d.byzantineAt(id, round) || d.halted[id] {
+		if !d.byzantineAt(id, round) || d.k.halted[id] {
 			continue
 		}
 		for _, to := range d.graph.Neighbors(id) {
@@ -245,25 +233,25 @@ func (d *delivery) injectForged(round int) {
 			if p == nil {
 				continue
 			}
-			d.stats.Forged++
+			d.k.stats.Forged++
 			if d.shim != nil && d.checkFrames {
 				if _, err := ValidatePayload(p); err != nil {
-					d.stats.Rejected++
+					d.k.stats.Rejected++
 					continue
 				}
 			}
-			d.commit(Message{From: id, To: to, Payload: p}, true)
+			d.k.deliver(Message{From: id, To: to, Payload: p}, true)
 		}
 	}
 }
 
 func (d *delivery) plainTransmit(round int, msg Message) {
 	if d.dropOnWire(msg.From, msg.To, round) {
-		d.stats.Dropped++
+		d.k.stats.Dropped++
 		return
 	}
 	if k := d.faults.delayRounds(d.rng, round); k > 0 {
-		d.stats.Delayed++
+		d.k.stats.Delayed++
 		owned := Message{From: msg.From, To: msg.To, Payload: append([]byte(nil), msg.Payload...)}
 		d.delayed = append(d.delayed, delayedMsg{at: round + k, msg: owned})
 		return
@@ -273,16 +261,16 @@ func (d *delivery) plainTransmit(round int, msg Message) {
 		// this wire transmission (a duplicate repeats the same corrupted
 		// frame); fail-closed protocol decoders are the defence. Delayed
 		// messages are never corrupted, mirroring duplication.
-		d.stats.Corrupted++
+		d.k.stats.Corrupted++
 		msg.Payload = corruptPayload(d.rng, msg.Payload)
 	}
 	dup := d.rng != nil && d.faults.shouldDup(d.rng)
-	d.commit(msg, false)
+	d.k.deliver(msg, false)
 	if dup {
 		// The duplicate lands adjacent to the original, which keeps the
 		// inbox sorted by sender id. Delayed messages are never duplicated.
-		d.stats.Duplicated++
-		d.commit(msg, false)
+		d.k.stats.Duplicated++
+		d.k.deliver(msg, false)
 	}
 }
 
@@ -294,31 +282,6 @@ func (d *delivery) dropOnWire(from, to, round int) bool {
 		return true
 	}
 	return d.faults.shouldDrop(d.rng, round)
-}
-
-// commit finalizes one protocol-visible delivery. Messages to halted nodes
-// are delivered to nobody but still observed, exactly as in the fault-free
-// engine. injected marks deliveries arriving outside the sender-ordered
-// walk (delayed messages, retransmissions), which must be spliced into the
-// inbox at their sorted position to preserve the born-sorted invariant.
-func (d *delivery) commit(msg Message, injected bool) {
-	if d.observe {
-		d.delivered = append(d.delivered, msg)
-	}
-	if d.halted[msg.To] {
-		return
-	}
-	if d.fr != nil {
-		d.fr.noteRecipient(int32(msg.To), len(d.inboxes[msg.To]) == 0)
-	}
-	if injected {
-		d.inboxes[msg.To] = insertByFrom(d.inboxes[msg.To], msg)
-	} else {
-		d.inboxes[msg.To] = append(d.inboxes[msg.To], msg)
-	}
-	if d.fr != nil {
-		d.fr.wake(int32(msg.To))
-	}
 }
 
 // finishRound ends the merge of one round: land delayed messages whose
@@ -334,7 +297,7 @@ func (d *delivery) finishRound(round int) {
 			if dm.f != nil {
 				d.shim.arrive(d, round, dm.f, dm.f.payload, true)
 			} else {
-				d.commit(dm.msg, true)
+				d.k.deliver(dm.msg, true)
 			}
 		}
 		clear(d.delayed[len(kept):]) // drop stale references so settled frames can be collected
@@ -417,15 +380,15 @@ func (s *reliShim) sendData(d *delivery, round int, msg Message, slot int) {
 // wire duplicates invisible to the protocol by construction.
 func (s *reliShim) attempt(d *delivery, round int, f *frame, retx bool) {
 	if retx {
-		d.stats.Retransmits++
-		d.stats.RetransmitBits += int64(len(f.payload) * 8)
+		d.k.stats.Retransmits++
+		d.k.stats.RetransmitBits += int64(len(f.payload) * 8)
 	}
 	if d.dropOnWire(f.from, f.to, round) {
-		d.stats.Dropped++
+		d.k.stats.Dropped++
 		return
 	}
 	if k := d.faults.delayRounds(d.rng, round); k > 0 {
-		d.stats.Delayed++
+		d.k.stats.Delayed++
 		d.delayed = append(d.delayed, delayedMsg{at: round + k, f: f})
 		return
 	}
@@ -434,7 +397,7 @@ func (s *reliShim) attempt(d *delivery, round int, f *frame, retx bool) {
 		// Corruption mutates this one wire attempt, never the frame itself:
 		// a retransmission resends the intact original. Delayed frames are
 		// never corrupted, mirroring the plain path.
-		d.stats.Corrupted++
+		d.k.stats.Corrupted++
 		payload = corruptPayload(d.rng, payload)
 	}
 	s.arrive(d, round, f, payload, retx)
@@ -458,12 +421,12 @@ func (s *reliShim) arrive(d *delivery, round int, f *frame, payload []byte, inje
 			// is discarded unacknowledged, so a retransmission of the intact
 			// original can still land. Corruption that keeps a valid frame
 			// shape passes — protocol decoders are the last line of defence.
-			d.stats.Rejected++
+			d.k.stats.Rejected++
 			return
 		}
 	}
 	if s.recvWin[f.slot].Accept(f.seq) {
-		d.commit(Message{From: f.from, To: f.to, Payload: payload}, injected)
+		d.k.deliver(Message{From: f.from, To: f.to, Payload: payload}, injected)
 	}
 	s.acks = append(s.acks, ackEvent{f: f, tx: round + 1})
 }
@@ -488,10 +451,10 @@ func (s *reliShim) processAcks(d *delivery, round int) {
 			continue // the acking node crashed before the ack left
 		}
 		s.ackBuf = EncodeKindUvarint(s.ackBuf, kindAck, a.f.seq)
-		d.stats.Acks++
-		d.stats.AckBits += int64(len(s.ackBuf) * 8)
+		d.k.stats.Acks++
+		d.k.stats.AckBits += int64(len(s.ackBuf) * 8)
 		if d.dropOnWire(a.f.to, a.f.from, round) {
-			d.stats.Dropped++
+			d.k.stats.Dropped++
 			continue
 		}
 		a.f.acked = true
@@ -522,7 +485,7 @@ func (s *reliShim) retransmitDue(d *delivery, round int) {
 			continue
 		}
 		if f.attempts >= 1+s.budget {
-			d.stats.LinkDowns++
+			d.k.stats.LinkDowns++
 			if d.onLinkDown != nil {
 				d.onLinkDown(LinkDownError{From: f.from, To: f.to, Round: round, Attempts: f.attempts})
 			}

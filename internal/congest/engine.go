@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 )
 
@@ -18,16 +17,14 @@ type Config struct {
 	Seed int64
 	// MaxRounds aborts runaway protocols. 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Dense selects the reference O(n) scheduler: every round scans the
-	// full population for halt detection, compute, merge, and inbox
-	// clears, and Env.SleepUntil declarations are ignored (the declared
-	// no-op rounds execute for real). The default frontier scheduler
-	// instead walks only the active node list, the round's senders, and
-	// last round's recipients, making steady-state per-round cost
-	// O(active + delivered) instead of O(n). Both schedulers produce
-	// byte-identical executions (invariant I5) — the determinism matrices
-	// pin frontier runs against this mode — so Dense exists as the pinned
-	// reference and as the baseline of the E18 sparse-rounds benchmark.
+	// Dense makes the round walk ignore Env.SleepUntil declarations: no
+	// node is ever parked, so every live node runs every round and the
+	// declared no-op rounds execute for real. Nothing else changes; the
+	// walk, the merge and the inbox clears are the same frontier
+	// bookkeeping in both modes. A sound protocol produces byte-identical
+	// executions either way (invariant I5), which is what the determinism
+	// matrices check, so Dense exists to pin SleepUntil declarations as
+	// sound and as the baseline of the E18 sparse-rounds benchmark.
 	Dense bool
 	// Observer, when non-nil, is invoked after every round with the round
 	// number and the messages delivered in that round, in ascending
@@ -83,8 +80,8 @@ type Stats struct {
 	Forged    int64 // byzantine rewrites and injections put on the wire
 	Rejected  int64 // frames discarded as malformed, by the shim's link-layer framing check or by fail-closed protocol decoders (Env.Reject)
 	LinkDowns int64 // reliable-shim frames abandoned with the retry budget exhausted (see Config.OnLinkDown for the typed per-link reports)
-	// Activity accounting of the frontier scheduler; the dense reference
-	// mode tracks the same quantities, so I5 comparisons cover them.
+	// Activity accounting of the round walk; Dense runs track the same
+	// quantities, so I5 comparisons cover them.
 	LiveNodeRounds int64 // sum over executed rounds of the not-yet-halted node count
 	Senders        int64 // node-rounds in which a node staged at least one message
 	FinalLive      int   // nodes not yet halted when the run returned
@@ -129,8 +126,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		}
 		crashed = make([]bool, len(nodes))
 		k.stagePositions(g)
-		k.del = newDelivery(&cfg.Faults, g, cfg.BitLimit, cfg.Reliable, faultRng, k.halted, crashed, k.inboxes, &k.stats, k.observe, cfg.OnLinkDown)
-		k.del.fr = k.fr
+		k.del = newDelivery(k, &cfg, g, faultRng, crashed)
 	}
 
 	// The crash/recovery schedules are maps; compile them once into fire
@@ -160,9 +156,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			crashed[id] = true
 			k.stats.Crashed++
 			k.live--
-			if k.fr != nil {
-				k.fr.dropCrashed(int32(id))
-			}
+			k.fr.dropCrashed(int32(id))
 			if k.del.shim != nil {
 				k.del.shim.onCrash(g, id)
 			}
@@ -180,18 +174,10 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			k.halted[id] = false
 			k.stats.Recovered++
 			k.live++
-			if k.fr != nil {
-				k.fr.revive(int32(id))
-			}
+			k.fr.revive(int32(id))
 			nodes[id].(Recoverable).Recover()
 		}
-		allHalted := k.live == 0
-		if cfg.Dense {
-			// Reference halt detection: the full scan the frontier
-			// scheduler's live counter replaces.
-			allHalted = !slices.Contains(k.halted, false)
-		}
-		if allHalted && !pendingFires(recoverFires[recoverCur:], crashed) {
+		if k.live == 0 && !pendingFires(recoverFires[recoverCur:], crashed) {
 			return k.result(round, nil)
 		}
 		k.stats.LiveNodeRounds += int64(k.live)
@@ -207,10 +193,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		if k.del != nil {
 			k.del.injectForged(round)
 			k.del.finishRound(round)
-			if cfg.Observer != nil {
-				cfg.Observer(round, k.del.delivered)
-			}
-		} else if cfg.Observer != nil {
+		}
+		if cfg.Observer != nil {
 			cfg.Observer(round, k.delivered)
 		}
 	}

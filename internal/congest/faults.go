@@ -9,9 +9,9 @@ import (
 // Fault randomness is drawn from its own stream (derived from Config.Seed),
 // so a faulty run with all probabilities zero is byte-identical to a
 // fault-free run, and the same configuration always yields the same fault
-// schedule under both schedulers (invariant I5: fault draws happen on the
-// caller goroutine in global sender order). Faults are simulated by Run
-// only; a RunShard deployment takes its chaos at the packet layer.
+// schedule with or without Config.Dense (invariant I5: fault draws happen
+// on the caller goroutine in global sender order). Faults are simulated by
+// Run only; a RunShard deployment takes its chaos at the packet layer.
 //
 // Two families of faults are supported. Probabilistic faults (DropProb,
 // DupProb, DelayProb) hit each transmitted message independently.

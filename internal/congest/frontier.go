@@ -2,10 +2,12 @@ package congest
 
 import "slices"
 
-// frontier is the active-set bookkeeping of the sparse round scheduler: it
-// tracks which nodes must actually run, send, or be cleared each round, so
-// steady-state per-round cost is O(active + delivered) instead of O(n).
-// Each round kernel owns one frontier over its span's node ids.
+// frontier is the active-set bookkeeping of the round kernel, its only
+// walk: it tracks which nodes must actually run, send, or be cleared each
+// round, so steady-state per-round cost is O(active + delivered) instead of
+// O(n). Each round kernel owns one frontier over its span's node ids; under
+// Config.Dense nothing is ever parked, so the active list is every live
+// node.
 //
 // A node is in exactly one place at a time: the sorted active list (it
 // runs every round), or parked with asleep[id] set (a SleepUntil
@@ -49,8 +51,8 @@ type frontier struct {
 
 // newFrontier returns a frontier over an n-node graph whose active list is
 // the ids of span.
-func newFrontier(n int, span Span) *frontier {
-	f := &frontier{
+func newFrontier(n int, span Span) frontier {
+	f := frontier{
 		asleep:  make([]bool, n),
 		timerAt: make([]int, n),
 		active:  make([]int32, span.Len()),

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 )
@@ -61,26 +62,59 @@ func (d *drowsyNode) Round(r int, inbox []Message) bool {
 // drowsySchedules is the dormancy acceptance grid: fault-free (pure
 // timer/delivery wakes), crash plus recovery (frontier eviction and
 // revival), and corrupt+byzantine (serial-merge delivery with adversarial
-// wakes at arbitrary rounds).
+// wakes at arbitrary rounds). Each schedule carries its golden pin: the
+// full Stats and the per-node log digest (logDigest) of the run, recorded
+// from the dense reference before the dense walk was folded into the
+// frontier walk.
 func drowsySchedules() []struct {
-	name string
-	f    Faults
+	name   string
+	f      Faults
+	stats  Stats
+	digest uint64
 } {
 	return []struct {
-		name string
-		f    Faults
+		name   string
+		f      Faults
+		stats  Stats
+		digest uint64
 	}{
-		{name: "fault_free", f: Faults{}},
-		{name: "crash_recover", f: Faults{
-			DropProb:       0.3,
-			CrashAtRound:   map[int]int{4: 2, 17: 5},
-			RecoverAtRound: map[int]int{4: 9},
-		}},
-		{name: "corrupt_byzantine", f: Faults{
-			CorruptProb:        0.25,
-			ByzantineFromRound: map[int]int{2: 1, 9: 3},
-		}},
+		{
+			name:   "fault_free",
+			f:      Faults{},
+			stats:  Stats{Rounds: 28, Messages: 563, Bits: 9008, MaxMessageBits: 16, LiveNodeRounds: 492, Senders: 212},
+			digest: 0x34e3c1a0f551765a,
+		},
+		{
+			name: "crash_recover",
+			f: Faults{
+				DropProb:       0.3,
+				CrashAtRound:   map[int]int{4: 2, 17: 5},
+				RecoverAtRound: map[int]int{4: 9},
+			},
+			stats: Stats{Rounds: 28, Messages: 513, Bits: 8208, MaxMessageBits: 16, Dropped: 145,
+				Crashed: 2, Recovered: 1, LiveNodeRounds: 472, Senders: 191},
+			digest: 0xbbd03d4eac2017ec,
+		},
+		{
+			name: "corrupt_byzantine",
+			f: Faults{
+				CorruptProb:        0.25,
+				ByzantineFromRound: map[int]int{2: 1, 9: 3},
+			},
+			stats: Stats{Rounds: 28, Messages: 765, Bits: 12240, MaxMessageBits: 16,
+				Corrupted: 173, Forged: 91, LiveNodeRounds: 492, Senders: 282},
+			digest: 0x9a1e15fde88d4abd,
+		},
 	}
+}
+
+// logDigest is the FNV-64a digest of every node's receive log.
+func logDigest(logs [][]string) uint64 {
+	h := fnv.New64a()
+	for i, l := range logs {
+		fmt.Fprintf(h, "%d=%v;", i, l)
+	}
+	return h.Sum64()
 }
 
 func runDrowsy(t *testing.T, f Faults, dense bool) (Stats, [][]string) {
@@ -111,8 +145,11 @@ func runDrowsy(t *testing.T, f Faults, dense bool) (Stats, [][]string) {
 // TestFrontierDeterminismMatrix pins invariant I5 over the dormancy grid:
 // for every fault schedule, the frontier scheduler must reproduce the
 // dense reference runner's execution byte for byte: identical Stats (the
-// activity counters included) and identical per-node receive logs. The
-// RunShard arm of the same grid is TestTransportFrontierMatchesDense.
+// activity counters included) and identical per-node receive logs. Both
+// runs share one walk, so the dense run is also held to the schedule's
+// recorded golden pin, which catches a change to the walk's own
+// bookkeeping that both modes would make alike. The RunShard arm of the
+// same grid is TestTransportFrontierMatchesDense.
 func TestFrontierDeterminismMatrix(t *testing.T) {
 	for _, sc := range drowsySchedules() {
 		sc := sc
@@ -120,6 +157,12 @@ func TestFrontierDeterminismMatrix(t *testing.T) {
 			denseStats, denseLogs := runDrowsy(t, sc.f, true)
 			if denseStats.Senders == 0 || denseStats.LiveNodeRounds == 0 {
 				t.Fatalf("schedule too tame: %+v", denseStats)
+			}
+			if denseStats != sc.stats {
+				t.Errorf("dense stats differ from the golden pin:\n got %#v\nwant %#v", denseStats, sc.stats)
+			}
+			if d := logDigest(denseLogs); d != sc.digest {
+				t.Errorf("dense log digest = %#x, want golden %#x", d, sc.digest)
 			}
 			check := func(label string, st Stats, logs [][]string) {
 				if st != denseStats {
@@ -345,5 +388,69 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 				t.Errorf("fleet activity stats diverged from in-process run:\nfleet      %+v\nin-process %+v", frontStats, seqStats)
 			}
 		})
+	}
+}
+
+// rejectNode sends to every neighbour in round 0 only. Every later round
+// it runs stages no message: it rejects each arrival (round 1, woken by
+// delivery) and rejects id%3+1 phantom frames when its timer wakes it at
+// round 4, then halts at round 8 without sending again. The rounds between
+// are sound no-ops, so the dense run agrees.
+type rejectNode struct{ env *Env }
+
+func (n *rejectNode) Init(env *Env) { n.env = env }
+
+func (n *rejectNode) Round(r int, inbox []Message) bool {
+	for range inbox {
+		n.env.Reject()
+	}
+	switch r {
+	case 0:
+		for _, v := range n.env.Neighbors() {
+			n.env.Send(v, []byte{1})
+		}
+	case 4:
+		for i := 0; i <= n.env.ID()%3; i++ {
+			n.env.Reject()
+		}
+	case 8:
+		return true
+	}
+	if r < 4 {
+		n.env.SleepUntil(4)
+	} else {
+		n.env.SleepUntil(8)
+	}
+	return false
+}
+
+// TestFrontierDrainsRejectOnlySenders pins that a node whose round stages
+// no message but records a fail-closed reject still reaches the drain:
+// the compute walk must list it as a sender, or its Env.Reject counts are
+// never folded into Stats.Rejected.
+func TestFrontierDrainsRejectOnlySenders(t *testing.T) {
+	const n = 6
+	for _, dense := range []bool{false, true} {
+		g := NewGraph(n)
+		for v := 0; v < n; v++ {
+			if err := g.AddEdge(v, (v+1)%n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &rejectNode{}
+		}
+		stats, err := Run(g, nodes, Config{Seed: 5, Dense: dense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rejected: 12 arrivals on the 6-ring plus 1+2+3+1+2+3 at round 4.
+		// Senders counts only round 0, when every node stages messages.
+		want := Stats{Rounds: 9, Messages: 12, Bits: 96, MaxMessageBits: 8, Rejected: 24,
+			LiveNodeRounds: 54, Senders: 6}
+		if stats != want {
+			t.Errorf("dense=%v stats:\n got %#v\nwant %#v", dense, stats, want)
+		}
 	}
 }

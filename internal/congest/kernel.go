@@ -11,8 +11,8 @@ import (
 // over every node [0, n) and hands its drain to the fault pipeline when one
 // is configured; RunShard drives one over its shard's span and stages
 // out-of-span messages for its Transport. Both runners thus share one
-// Env/arena setup, one compute walk and one drain, so they cannot drift
-// apart (invariant I5).
+// Env/arena setup, one compute walk, one drain and one inbox write
+// (deliver), so they cannot drift apart (invariant I5).
 type kernel struct {
 	span  Span
 	nodes []Node
@@ -22,10 +22,12 @@ type kernel struct {
 	// (and, under the fault pipeline, whatever it delivers) are touched.
 	halted  []bool
 	inboxes [][]Message
-	// fr is the frontier scheduler's state; nil in dense mode.
-	fr *frontier
-	// live counts the span's nodes not yet halted. Both schedulers maintain
-	// it; it feeds the activity stats and the frontier's halt detection.
+	// fr decides which nodes each round runs, drains and clears.
+	fr frontier
+	// dense makes the compute walk ignore SleepUntil (Config.Dense).
+	dense bool
+	// live counts the span's nodes not yet halted; it feeds the activity
+	// stats and decides halting.
 	live  int
 	stats Stats
 
@@ -57,6 +59,8 @@ func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 		envs:    make([]Env, span.Len()),
 		halted:  make([]bool, n),
 		inboxes: make([][]Message, n),
+		fr:      newFrontier(n, span),
+		dense:   cfg.Dense,
 		live:    span.Len(),
 	}
 	base := g.rowStart[span.Lo]
@@ -84,9 +88,6 @@ func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 			prevArena: prevAll[s*hint : s*hint : e*hint],
 		}
 		nodes[id].Init(env)
-	}
-	if !cfg.Dense {
-		k.fr = newFrontier(n, span)
 	}
 	return k
 }
@@ -116,25 +117,12 @@ func (k *kernel) result(rounds int, err error) (Stats, error) {
 	return k.stats, err
 }
 
-// compute runs one round's Round calls in ascending id order. The frontier
-// walk runs only the active nodes, compacting halters and sleepers out of
-// the sorted list in place and recording the round's senders as a
-// by-product; the dense walk runs every live node of the span.
+// compute runs one round's Round calls in ascending id order over the
+// active list only, compacting halters and sleepers out of it in place and
+// recording the round's senders as a by-product. Under Config.Dense no node
+// is parked, so every live node of the span runs every round.
 func (k *kernel) compute(round int) {
-	fr := k.fr
-	if fr == nil {
-		for id := k.span.Lo; id < k.span.Hi; id++ {
-			if k.halted[id] {
-				continue
-			}
-			k.env(id).beginRound()
-			if k.nodes[id].Round(round, k.inboxes[id]) {
-				k.halted[id] = true
-				k.live--
-			}
-		}
-		return
-	}
+	fr := &k.fr
 	fr.admitWoken(round)
 	fr.senders = fr.senders[:0]
 	keep := fr.active[:0]
@@ -153,7 +141,7 @@ func (k *kernel) compute(round int) {
 			k.live--
 			continue
 		}
-		if env.sleepUntil > round+1 {
+		if env.sleepUntil > round+1 && !k.dense {
 			fr.park(id, env.sleepUntil)
 			continue
 		}
@@ -162,38 +150,21 @@ func (k *kernel) compute(round int) {
 	fr.active = keep
 }
 
-// clearInboxes empties the inboxes the previous round filled: exactly last
-// round's recipients under the frontier, the whole span in dense mode.
-func (k *kernel) clearInboxes() {
-	if k.fr != nil {
-		k.fr.clearInboxes(k.inboxes)
-		return
-	}
-	for id := k.span.Lo; id < k.span.Hi; id++ {
-		k.inboxes[id] = k.inboxes[id][:0]
-	}
-}
+// clearInboxes empties exactly the inboxes the previous round filled.
+func (k *kernel) clearInboxes() { k.fr.clearInboxes(k.inboxes) }
 
 // drain is the deterministic merge: it walks the round's senders in
-// ascending id order (the frontier's sender list, or the whole span in
-// dense mode), accounts every staged message, and routes it. Because each
-// sender stages at most one message per recipient per round (enforced by
-// Env.Send) and senders are walked in id order, every local inbox comes out
-// sorted by sender id with no per-inbox sort. The first recorded send
-// violation aborts the walk; the Stats keep the partial accounting.
+// ascending id order, accounts every staged message, and routes it.
+// Because each sender stages at most one message per recipient per round
+// (enforced by Env.Send) and senders are walked in id order, every local
+// inbox comes out sorted by sender id with no per-inbox sort. The first
+// recorded send violation aborts the walk; the Stats keep the partial
+// accounting.
 func (k *kernel) drain(round int) error {
 	k.delivered = k.delivered[:0]
 	k.remote = k.remote[:0]
-	if k.fr != nil {
-		for _, id := range k.fr.senders {
-			if err := k.drainEnv(round, k.env(int(id))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := range k.envs {
-		if err := k.drainEnv(round, &k.envs[i]); err != nil {
+	for _, id := range k.fr.senders {
+		if err := k.drainEnv(round, k.env(int(id))); err != nil {
 			return err
 		}
 	}
@@ -222,10 +193,7 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 		case k.del != nil:
 			k.del.transmit(round, msg, env.graph.rowStart[env.id]+int(env.outPos[i]))
 		case k.span.Contains(msg.To):
-			if k.observe {
-				k.delivered = append(k.delivered, msg)
-			}
-			k.deliver(msg)
+			k.deliver(msg, false)
 		default:
 			k.remote = append(k.remote, msg)
 		}
@@ -241,19 +209,27 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 	return nil
 }
 
-// deliver appends msg to its recipient's inbox and wakes the recipient.
-// Messages to halted nodes are delivered to nobody but still counted.
-func (k *kernel) deliver(msg Message) {
+// deliver is the engine's one inbox write. It appends msg to the
+// observer's view, then, unless the recipient has halted (a message to a
+// halted node is delivered to nobody but still observed and counted),
+// records the recipient for next round's clear, lands msg in its inbox and
+// wakes it. injected marks arrivals from outside the sender-ordered walk
+// (delayed messages, retransmissions, forged injections), which are
+// spliced in at their sorted position to keep the inbox born sorted.
+func (k *kernel) deliver(msg Message, injected bool) {
+	if k.observe {
+		k.delivered = append(k.delivered, msg)
+	}
 	if k.halted[msg.To] {
 		return
 	}
-	if k.fr != nil {
-		k.fr.noteRecipient(int32(msg.To), len(k.inboxes[msg.To]) == 0)
+	k.fr.noteRecipient(int32(msg.To), len(k.inboxes[msg.To]) == 0)
+	if injected {
+		k.inboxes[msg.To] = insertByFrom(k.inboxes[msg.To], msg)
+	} else {
+		k.inboxes[msg.To] = append(k.inboxes[msg.To], msg)
 	}
-	k.inboxes[msg.To] = append(k.inboxes[msg.To], msg)
-	if k.fr != nil {
-		k.fr.wake(int32(msg.To))
-	}
+	k.fr.wake(int32(msg.To))
 }
 
 // ingest delivers a Transport's remote arrivals and restores the
@@ -278,7 +254,7 @@ func (k *kernel) ingest(g *Graph, in []Message) error {
 			k.inMark[i] = true
 			k.inIDs = append(k.inIDs, int32(msg.To))
 		}
-		k.deliver(msg)
+		k.deliver(msg, false)
 	}
 	for _, id := range k.inIDs {
 		k.inMark[int(id)-k.span.Lo] = false

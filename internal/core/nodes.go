@@ -252,9 +252,8 @@ func (f *facilityNode) Round(r int, inbox []congest.Message) bool {
 }
 
 // declareOfferSleep tells the engine how long the facility's rounds are
-// provably no-ops after an offer decision (see congest.Env.SleepUntil; the
-// dense reference scheduler ignores it, which is what pins the declarations
-// as sound). The rules mirror makeOffer's early returns: having offered, the
+// provably no-ops after an offer decision (see congest.Env.SleepUntil; a
+// dense run ignores it, which is what pins the declarations as sound). The rules mirror makeOffer's early returns: having offered, the
 // only upcoming work is the GRANT round at r+2. Having not offered, nothing
 // happens on an empty inbox until the first offer round of the phase whose
 // threshold admits the cached star — phases advance with the round number

@@ -124,7 +124,8 @@ func solveShardOn(inst *fl.Instance, cfg Config, span congest.Span, seed int64, 
 // Fragment wire codec: the RESULT bodies cmd/flnode ships to its gateway.
 // Layout (all integers uvarint unless noted):
 //
-//	lo | hi | rounds | messages | bits | maxMessageBits | rejected
+//	lo | hi | rounds | messages | bits | maxMessageBits | rejected |
+//	liveNodeRounds | senders | finalLive
 //	then one record per node id in [lo, hi) ascending:
 //	  facility (id < m):  flags byte (bit0 done, bit1 open, bit2 cleanup)
 //	  client   (id >= m): flags byte (bit0 done, bit1 cleanup, bit2 repair,
@@ -153,6 +154,9 @@ func (f *Fragment) Encode(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(f.Stats.Bits))
 	buf = binary.AppendUvarint(buf, uint64(f.Stats.MaxMessageBits))
 	buf = binary.AppendUvarint(buf, uint64(f.Stats.Rejected))
+	buf = binary.AppendUvarint(buf, uint64(f.Stats.LiveNodeRounds))
+	buf = binary.AppendUvarint(buf, uint64(f.Stats.Senders))
+	buf = binary.AppendUvarint(buf, uint64(f.Stats.FinalLive))
 	for _, fs := range f.Facilities {
 		var flags byte
 		if fs.Done {
@@ -199,7 +203,7 @@ func DecodeFragment(p []byte, m, nc int) (*Fragment, error) {
 		p = p[n:]
 		return v, nil
 	}
-	var hdr [7]uint64
+	var hdr [10]uint64
 	for i := range hdr {
 		v, err := next()
 		if err != nil {
@@ -219,6 +223,9 @@ func DecodeFragment(p []byte, m, nc int) (*Fragment, error) {
 			Bits:           int64(hdr[4]),
 			MaxMessageBits: int(hdr[5]),
 			Rejected:       int64(hdr[6]),
+			LiveNodeRounds: int64(hdr[7]),
+			Senders:        int64(hdr[8]),
+			FinalLive:      int(hdr[9]),
 		},
 	}
 	for id := lo; id < hi; id++ {
@@ -311,8 +318,7 @@ func Assemble(inst *fl.Instance, cfg Config, frags []*Fragment) (*fl.Solution, *
 		rep.Net.Rejected += frag.Stats.Rejected
 		// Frontier activity stats sum across spans: every shard executes the
 		// same global rounds, so per-span live counts add up to the
-		// in-process totals. Fragments that crossed the wire carry zeros
-		// here (the codec predates the fields), which the sums absorb.
+		// in-process totals.
 		rep.Net.LiveNodeRounds += frag.Stats.LiveNodeRounds
 		rep.Net.Senders += frag.Stats.Senders
 		rep.Net.FinalLive += frag.Stats.FinalLive

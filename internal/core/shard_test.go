@@ -11,7 +11,8 @@ import (
 )
 
 // solveSharded runs the instance split into k shards over an in-process
-// ChanNetwork and assembles the result.
+// ChanNetwork, round-trips each fragment through the wire codec, and
+// assembles the result.
 func solveSharded(t *testing.T, inst *fl.Instance, cfg Config, seed int64, k int) (*fl.Solution, *Report) {
 	t.Helper()
 	n := inst.M() + inst.NC()
@@ -34,6 +35,10 @@ func solveSharded(t *testing.T, inst *fl.Instance, cfg Config, seed int64, k int
 	for si, err := range errs {
 		if err != nil {
 			t.Fatalf("shard %d: %v", si, err)
+		}
+		// Ship every fragment through the wire codec, as a fleet does.
+		if frags[si], err = DecodeFragment(frags[si].Encode(nil), inst.M(), inst.NC()); err != nil {
+			t.Fatalf("shard %d: decode: %v", si, err)
 		}
 	}
 	sol, rep, err := Assemble(inst, cfg, frags)
@@ -78,6 +83,10 @@ func TestSolveShardMatchesSolve(t *testing.T) {
 				t.Errorf("net accounting diverged: %d msgs/%d bits vs %d msgs/%d bits",
 					rs.Net.Messages, rs.Net.Bits, rp.Net.Messages, rp.Net.Bits)
 			}
+			if rs.Net.LiveNodeRounds != rp.Net.LiveNodeRounds || rs.Net.Senders != rp.Net.Senders {
+				t.Errorf("activity accounting diverged: %d live node-rounds/%d senders vs %d/%d",
+					rs.Net.LiveNodeRounds, rs.Net.Senders, rp.Net.LiveNodeRounds, rp.Net.Senders)
+			}
 			if rs.CleanupClients != rp.CleanupClients || rs.RepairedClients != rp.RepairedClients ||
 				rs.CleanupFacilities != rp.CleanupFacilities || rs.OpenFacilities != rp.OpenFacilities {
 				t.Errorf("report accounting diverged: %+v vs %+v", rs, rp)
@@ -116,18 +125,10 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: decode: %v", si, err)
 		}
-		if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", &Fragment{
-			Span: frag.Span,
-			Stats: congest.Stats{
-				Rounds:         frag.Stats.Rounds,
-				Messages:       frag.Stats.Messages,
-				Bits:           frag.Stats.Bits,
-				MaxMessageBits: frag.Stats.MaxMessageBits,
-				Rejected:       frag.Stats.Rejected,
-			},
-			Facilities: frag.Facilities,
-			Clients:    frag.Clients,
-		}) {
+		if frag.Stats.LiveNodeRounds == 0 || frag.Stats.Senders == 0 {
+			t.Fatalf("shard %d: activity counters empty, the round trip checks nothing: %+v", si, frag.Stats)
+		}
+		if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", frag) {
 			t.Fatalf("shard %d: round trip diverged:\n got  %+v\n want %+v", si, back, frag)
 		}
 	}

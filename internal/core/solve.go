@@ -83,7 +83,7 @@ type options struct {
 	quarantine  *bool       // nil: auto (armed when corruption/byzantine present)
 	faults      congest.Faults
 	retryBudget int  // reliable-delivery shim budget; 0 = shim off
-	dense       bool // reference O(n)-per-round scheduler (congest.Config.Dense)
+	dense       bool // ignore SleepUntil, run every live node (congest.Config.Dense)
 }
 
 // Option configures Solve.
@@ -168,12 +168,12 @@ func WithByzantine(fromRound int, nodeIDs ...int) Option {
 	}
 }
 
-// WithDenseEngine runs the simulator's dense reference scheduler, which
-// walks the full node population every round and ignores the nodes'
-// SleepUntil declarations (see congest.Config.Dense). Executions are
-// byte-identical to the default frontier scheduler — that equality is
-// exactly what pins the protocol's dormancy declarations as sound — so this
-// is a verification and baseline-measurement knob, not a behavioral one.
+// WithDenseEngine makes the simulator ignore the nodes' SleepUntil
+// declarations, so every live node runs every round (see
+// congest.Config.Dense). Executions are byte-identical to the default run —
+// that equality is exactly what pins the protocol's dormancy declarations
+// as sound — so this is a verification and baseline-measurement knob, not
+// a behavioral one.
 func WithDenseEngine(dense bool) Option {
 	return func(o *options) { o.dense = dense }
 }

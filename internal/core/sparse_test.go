@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -15,23 +16,56 @@ import (
 // lossy, crash-with-recovery, and corrupt+byzantine schedules. Any node
 // that oversleeps a round in which it would have changed state, sent, or
 // drawn randomness shows up here as a diverging trace or report.
+//
+// Each schedule also carries a golden pin, recorded from the dense
+// reference before its separate walk was folded into the frontier walk:
+// the full Report.Net, the cost, and an FNV-64a digest of the observer
+// stream. The dense run must still equal it, which holds the shared walk's
+// own bookkeeping (senders, rejects, halts) to its recorded past.
 func TestDenseEngineMatchesFrontier(t *testing.T) {
 	inst := chaosInstance(t)
 	cfg := Config{K: 16}
 
 	schedules := []struct {
-		name string
-		opts []Option
+		name   string
+		opts   []Option
+		net    congest.Stats
+		cost   int64
+		digest uint64
 	}{
-		{name: "honest"},
-		{name: "drop", opts: []Option{WithFaults(congest.Faults{DropProb: 0.3})}},
-		{name: "crash_recover", opts: []Option{WithFaults(congest.Faults{
-			CrashAtRound:   map[int]int{5: 11, 14: 13},
-			RecoverAtRound: map[int]int{5: 23},
-		})}},
-		{name: "corrupt_byzantine", opts: []Option{
-			WithCorruption(0.2), WithByzantine(0, 2, 7),
-		}},
+		{
+			name:   "honest",
+			net:    congest.Stats{Rounds: 71, Messages: 1142, Bits: 24704, MaxMessageBits: 64, LiveNodeRounds: 5100, Senders: 186},
+			cost:   48523,
+			digest: 0x8a5814580fa58f07,
+		},
+		{
+			name: "drop",
+			opts: []Option{WithFaults(congest.Faults{DropProb: 0.3})},
+			net: congest.Stats{Rounds: 71, Messages: 2515, Bits: 102296, MaxMessageBits: 64, Dropped: 614,
+				LiveNodeRounds: 5100, Senders: 635},
+			cost:   64593,
+			digest: 0x609f3c1eb2a6476b,
+		},
+		{
+			name: "crash_recover",
+			opts: []Option{WithFaults(congest.Faults{
+				CrashAtRound:   map[int]int{5: 11, 14: 13},
+				RecoverAtRound: map[int]int{5: 23},
+			})},
+			net: congest.Stats{Rounds: 71, Messages: 1443, Bits: 43960, MaxMessageBits: 64, Crashed: 2, Recovered: 1,
+				LiveNodeRounds: 5030, Senders: 273},
+			cost:   48049,
+			digest: 0xd7e4e74ba6b4fab5,
+		},
+		{
+			name: "corrupt_byzantine",
+			opts: []Option{WithCorruption(0.2), WithByzantine(0, 2, 7)},
+			net: congest.Stats{Rounds: 71, Messages: 1770, Bits: 60856, MaxMessageBits: 64,
+				Corrupted: 263, Forged: 3291, Rejected: 206, LiveNodeRounds: 5100, Senders: 394},
+			cost:   50520,
+			digest: 0xaee8dcd15d9f0432,
+		},
 	}
 
 	type trace struct {
@@ -61,6 +95,19 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 			dense := run(sc.opts, true)
 			if len(dense.stream) == 0 {
 				t.Fatal("schedule too tame: nothing observed")
+			}
+			if dense.report.Net != sc.net {
+				t.Errorf("dense Net differs from the golden pin:\n got %#v\nwant %#v", dense.report.Net, sc.net)
+			}
+			if dense.report.Cost != sc.cost {
+				t.Errorf("dense cost = %d, want golden %d", dense.report.Cost, sc.cost)
+			}
+			h := fnv.New64a()
+			for _, line := range dense.stream {
+				fmt.Fprintln(h, line)
+			}
+			if d := h.Sum64(); d != sc.digest {
+				t.Errorf("dense observer digest = %#x, want golden %#x", d, sc.digest)
 			}
 			check := func(label string, got trace) {
 				if !reflect.DeepEqual(got.sol, dense.sol) || !reflect.DeepEqual(got.open, dense.open) {

@@ -13,6 +13,7 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -29,7 +30,9 @@ import (
 // contiguous scan. Per-row neighbour order is insertion order — exactly the
 // order the old slice-of-slices builder produced — so freezing changes no
 // observable iteration order. A second flat array keeps each row sorted by
-// neighbour id for O(log degree) adjacency queries.
+// neighbour id for O(log degree) adjacency queries; it is built by
+// transposing the symmetric rows, so freezing is linear in the edge count
+// and sorts nothing (see pack).
 //
 // The zero value is an empty graph; use NewGraph.
 type Graph struct {
@@ -61,14 +64,23 @@ func (g *Graph) AddEdge(u, v int) error {
 	if g.frozen {
 		return fmt.Errorf("congest: AddEdge(%d,%d) on frozen graph", u, v)
 	}
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", u, v, g.n)
+	if err := checkEdge(g.n, u, v); err != nil {
+		return err
+	}
+	g.pendU = append(g.pendU, u)
+	g.pendV = append(g.pendV, v)
+	return nil
+}
+
+// checkEdge reports why u-v cannot be an edge of an n-node graph: an
+// endpoint out of range, or a self-loop.
+func checkEdge(n, u, v int) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
 	if u == v {
 		return fmt.Errorf("congest: self-loop at %d", u)
 	}
-	g.pendU = append(g.pendU, u)
-	g.pendV = append(g.pendV, v)
 	return nil
 }
 
@@ -95,7 +107,7 @@ func (g *Graph) FinalizeChecked() error {
 
 // freeze packs the pending edge list into the CSR arrays. Counting sort by
 // endpoint keeps per-row order identical to the append order the old
-// slice-of-slices builder used; a stamp array dedups each row in one pass.
+// slice-of-slices builder used; pack then dedups and indexes the rows.
 func (g *Graph) freeze(dupErr *error) {
 	n := g.n
 	rowStart := make([]int, n+1)
@@ -116,6 +128,22 @@ func (g *Graph) freeze(dupErr *error) {
 		nbrs[cur[v]] = u
 		cur[v]++
 	}
+	g.pendU, g.pendV = nil, nil
+	g.pack(rowStart, nbrs, cur, dupErr)
+}
+
+// pack freezes rows already laid out in insertion order — row u is
+// nbrs[rowStart[u]:rowStart[u+1]], and every edge appears in both of its
+// endpoints' rows — into the CSR arrays. A stamp array dedups each row in
+// one stable pass, keeping the first occurrence and reporting the first
+// duplicate in *dupErr when dupErr is non-nil. The ascending rows are then
+// a transpose, not a sort: the deduplicated graph is symmetric, so
+// scattering each u, in ascending order, into the sorted row of every
+// neighbour v fills each row in ascending id order, and the whole freeze
+// is O(E+n). cur is n ints of scratch (the caller's counting-sort
+// cursors), reused as the scatter cursors.
+func (g *Graph) pack(rowStart, nbrs, cur []int, dupErr *error) {
+	n := g.n
 	// Stable in-place dedup: stamp[v] == u+1 iff v was already seen in row
 	// u; later rows use a distinct stamp value so no reset pass is needed.
 	stamp := make([]int, n)
@@ -141,14 +169,13 @@ func (g *Graph) freeze(dupErr *error) {
 	g.nbrs = nbrs[:write:write]
 	g.edgeCount = write / 2
 	g.sorted = make([]int32, write)
+	copy(cur, newStart[:n])
 	for u := 0; u < n; u++ {
-		row := g.sorted[newStart[u]:newStart[u+1]]
-		for k := range row {
-			row[k] = int32(g.nbrs[newStart[u]+k])
+		for _, v := range g.nbrs[newStart[u]:newStart[u+1]] {
+			g.sorted[cur[v]] = int32(u)
+			cur[v]++
 		}
-		slices.Sort(row)
 	}
-	g.pendU, g.pendV = nil, nil
 	g.frozen = true
 }
 
@@ -209,25 +236,66 @@ func (g *Graph) edgeSlot(u, v int) int {
 // Bipartite builds the communication graph of a facility-location instance:
 // facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
 // client j) pair in edges becomes a communication edge. The returned graph
-// is already frozen; duplicate pairs are an error.
+// is already frozen, with exactly the rows NewGraph plus AddEdge(i, m+j) in
+// iteration order would give; duplicate pairs are an error.
+//
+// edges is iterated twice — once to count degrees, once to fill the rows in
+// place — so no pending pair list is ever materialized. It must yield the
+// same sequence both times.
 func Bipartite(m, nc int, edges func(yield func(facility, client int) bool)) (*Graph, error) {
-	g := NewGraph(m + nc)
+	n := m + nc
+	g := NewGraph(n)
+	rowStart := make([]int, n+1)
 	var err error
-	edges(func(i, j int) bool {
-		if e := g.AddEdge(i, m+j); e != nil {
-			err = e
+	pairs := 0
+	edges(func(u, j int) bool {
+		v := m + j
+		if err = checkEdge(n, u, v); err != nil {
 			return false
 		}
+		rowStart[u+1]++
+		rowStart[v+1]++
+		pairs++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := g.FinalizeChecked(); err != nil {
+	for u := 0; u < n; u++ {
+		rowStart[u+1] += rowStart[u]
+	}
+	nbrs := make([]int, rowStart[n])
+	cur := make([]int, n)
+	copy(cur, rowStart[:n])
+	edges(func(u, j int) bool {
+		v := m + j
+		// Bounds only: a pair the counting pass did not see shows as a
+		// row overflow here or as a pair count mismatch below.
+		if u < 0 || u >= n || v < 0 || v >= n || cur[u] == rowStart[u+1] || cur[v] == rowStart[v+1] {
+			err = errChangedEdges
+			return false
+		}
+		nbrs[cur[u]] = v
+		cur[u]++
+		nbrs[cur[v]] = u
+		cur[v]++
+		pairs--
+		return true
+	})
+	if err == nil && pairs != 0 {
+		err = errChangedEdges
+	}
+	if err != nil {
+		return nil, err
+	}
+	g.pack(rowStart, nbrs, cur, &err)
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
 }
+
+var errChangedEdges = errors.New("congest: Bipartite edge sequence changed between its two passes")
 
 // Message is one payload in flight. From and To are node ids; the payload
 // size (in bits) is charged against the model's message-size budget.
@@ -265,31 +333,30 @@ type Recoverable interface {
 }
 
 // Env is a node's private handle to the network: its identity, neighbour
-// list, deterministic private randomness, and staged outgoing messages.
+// list, deterministic private randomness, and outgoing messages.
 //
 // The engine allocates all Env state up front in flat per-run arrays —
 // the Env structs themselves, the once-per-neighbour generation stamps,
 // and the payload arenas — partitioned by the frozen graph's CSR offsets,
 // so a round walks contiguous memory and steady-state rounds allocate
-// nothing.
+// nothing. Outgoing messages are not held per node: Send appends to the
+// kernel's one send buffer, which the compute walk fills in ascending
+// sender order, and the Env keeps only the count of its own entries there.
 type Env struct {
 	id    int
 	graph *Graph
+	// k is the round kernel running this node; Send stages into its send
+	// buffer.
+	k *kernel
 	// seed derives the node's private RNG stream; rng itself is built
 	// lazily on first Rand() call. A math/rand source alone is ~5 KiB, so
 	// eager construction would dominate engine memory in the million-node
 	// regime — and most nodes (clients, benchmark chatter) never draw.
 	seed int64
 	rng  *rand.Rand
-	out  []Message
-	// outPos[i] is out[i]'s recipient position in the sorted row (the
-	// NeighborIndex order), so rowStart[id]+outPos[i] is the message's
-	// directed-edge slot, which the fault pipeline indexes its per-link
-	// state by. A view into a flat per-run block that Run allocates only
-	// when the fault pipeline is on; nil otherwise, and then nothing is
-	// staged. A node sends at most once per neighbour per round, so the
-	// view never outgrows its capacity.
-	outPos   []int32
+	// staged counts this round's messages from this node in the kernel's
+	// send buffer.
+	staged   int
 	bitLimit int
 	sendErr  error
 	// sentGen records, per neighbour position (NeighborIndex order), the
@@ -392,10 +459,8 @@ func (e *Env) Send(to int, payload []byte) {
 	// backing array, which stays valid (and immutable) until collected.
 	n := len(e.arena)
 	e.arena = append(e.arena, payload...)
-	e.out = append(e.out, Message{From: e.id, To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
-	if e.outPos != nil {
-		e.outPos = append(e.outPos, int32(pos))
-	}
+	e.k.stage(Message{From: e.id, To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]}, pos)
+	e.staged++
 }
 
 // Broadcast stages the same payload to every neighbour.
@@ -406,8 +471,7 @@ func (e *Env) Broadcast(payload []byte) {
 }
 
 func (e *Env) beginRound() {
-	e.out = e.out[:0]
-	e.outPos = e.outPos[:0]
+	e.staged = 0
 	e.gen++
 	e.sleepUntil = 0
 	// Double-buffer swap: the payloads staged last round (e.arena) are

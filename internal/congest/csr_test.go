@@ -2,30 +2,85 @@ package congest
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
+// naiveGraph is the reference builder the CSR graph is checked against: a
+// slice of rows with dedup-on-insert.
+type naiveGraph struct {
+	rows  [][]int
+	edges int
+}
+
+// add inserts the undirected edge u-v unless it is already present and
+// reports whether it was new.
+func (ng *naiveGraph) add(u, v int) bool {
+	if slices.Contains(ng.rows[u], v) {
+		return false
+	}
+	ng.rows[u] = append(ng.rows[u], v)
+	ng.rows[v] = append(ng.rows[v], u)
+	ng.edges++
+	return true
+}
+
+// checkAgainstNaive asserts that the frozen g answers Neighbors, Degree,
+// EdgeCount, HasEdge and NeighborIndex exactly like the reference. In
+// particular NeighborIndex(u, v) must be v's rank among u's neighbours in
+// ascending id order: the reliable shim's directed-edge slots and the
+// positions Env.Send stages both depend on that.
+func checkAgainstNaive(t *testing.T, trial int, g *Graph, ng *naiveGraph) {
+	t.Helper()
+	n := len(ng.rows)
+	if got := g.EdgeCount(); got != ng.edges {
+		t.Fatalf("trial %d: EdgeCount = %d, want %d", trial, got, ng.edges)
+	}
+	for u := 0; u < n; u++ {
+		want := ng.rows[u]
+		if g.Degree(u) != len(want) {
+			t.Fatalf("trial %d: Degree(%d) = %d, want %d", trial, u, g.Degree(u), len(want))
+		}
+		row := g.Neighbors(u)
+		if len(row) != len(want) {
+			t.Fatalf("trial %d: Neighbors(%d) has %d entries, want %d", trial, u, len(row), len(want))
+		}
+		ascending := slices.Clone(want)
+		slices.Sort(ascending)
+		for k, v := range row {
+			if v != want[k] {
+				t.Fatalf("trial %d: Neighbors(%d)[%d] = %d, want %d (insertion order must survive the freeze)", trial, u, k, v, want[k])
+			}
+			rank, _ := slices.BinarySearch(ascending, v)
+			if pos, ok := g.NeighborIndex(u, v); !ok || pos != rank {
+				t.Fatalf("trial %d: NeighborIndex(%d,%d) = (%d,%v), want (%d,true): the rank among the ascending neighbours", trial, u, v, pos, ok, rank)
+			}
+			if !g.HasEdge(u, v) {
+				t.Fatalf("trial %d: HasEdge(%d,%d) = false for present edge", trial, u, v)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if has := slices.Contains(want, v); g.HasEdge(u, v) != has {
+				t.Fatalf("trial %d: HasEdge(%d,%d) = %v, want %v", trial, u, v, !has, has)
+			}
+		}
+	}
+}
+
 // TestCSRMatchesNaiveBuilder is the CSR acceptance property: on random
 // multigraph edge sequences (duplicates included), the frozen CSR graph
-// answers Neighbors, Degree, EdgeCount, HasEdge, and NeighborIndex exactly
-// like a naive slice-of-slices builder with dedup-on-insert — including
-// per-row neighbour order, which protocols observe through Broadcast.
+// answers every adjacency query exactly like a naive slice-of-slices
+// builder with dedup-on-insert — including per-row neighbour order, which
+// protocols observe through Broadcast, and the sorted-row positions
+// NeighborIndex hands out.
 func TestCSRMatchesNaiveBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
 		attempts := rng.Intn(4 * n)
 		g := NewGraph(n)
-		naive := make([][]int, n)
-		edges := 0
-		addNaive := func(u, v int) {
-			for _, w := range naive[u] {
-				if w == v {
-					return
-				}
-			}
-			naive[u] = append(naive[u], v)
-		}
+		ng := &naiveGraph{rows: make([][]int, n)}
 		for k := 0; k < attempts; k++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
@@ -37,50 +92,51 @@ func TestCSRMatchesNaiveBuilder(t *testing.T) {
 			if err := g.AddEdge(u, v); err != nil {
 				t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
 			}
-			before := len(naive[u])
-			addNaive(u, v)
-			if len(naive[u]) > before {
-				addNaive(v, u)
-				edges++
+			ng.add(u, v)
+		}
+		checkAgainstNaive(t, trial, g, ng)
+	}
+}
+
+// TestBipartiteMatchesNaiveBuilder runs the same property on graphs built
+// by Bipartite, which reads its pair sequence twice instead of keeping a
+// pending list: duplicate-free random sequences must freeze to exactly the
+// reference rows, and a sequence with a repeated pair must fail with the
+// duplicate-edge error.
+func TestBipartiteMatchesNaiveBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		m, nc := 1+rng.Intn(12), 1+rng.Intn(30)
+		ng := &naiveGraph{rows: make([][]int, m+nc)}
+		var pairs [][2]int
+		for k := rng.Intn(3 * (m + nc)); k > 0; k-- {
+			i, j := rng.Intn(m), rng.Intn(nc)
+			if ng.add(i, m+j) {
+				pairs = append(pairs, [2]int{i, j})
 			}
 		}
-		if got := g.EdgeCount(); got != edges {
-			t.Fatalf("trial %d: EdgeCount = %d, want %d", trial, got, edges)
+		seq := func(yield func(i, j int) bool) {
+			for _, p := range pairs {
+				if !yield(p[0], p[1]) {
+					return
+				}
+			}
 		}
-		for u := 0; u < n; u++ {
-			if g.Degree(u) != len(naive[u]) {
-				t.Fatalf("trial %d: Degree(%d) = %d, want %d", trial, u, g.Degree(u), len(naive[u]))
-			}
-			row := g.Neighbors(u)
-			if len(row) != len(naive[u]) {
-				t.Fatalf("trial %d: Neighbors(%d) has %d entries, want %d", trial, u, len(row), len(naive[u]))
-			}
-			seenPos := make(map[int]bool, len(row))
-			for k, v := range row {
-				if v != naive[u][k] {
-					t.Fatalf("trial %d: Neighbors(%d)[%d] = %d, want %d (insertion order must survive the freeze)", trial, u, k, v, naive[u][k])
-				}
-				pos, ok := g.NeighborIndex(u, v)
-				if !ok || pos < 0 || pos >= len(row) || seenPos[pos] {
-					t.Fatalf("trial %d: NeighborIndex(%d,%d) = (%d,%v), want a fresh index in [0,%d)", trial, u, v, pos, ok, len(row))
-				}
-				seenPos[pos] = true
-				if !g.HasEdge(u, v) {
-					t.Fatalf("trial %d: HasEdge(%d,%d) = false for present edge", trial, u, v)
-				}
-			}
-			for v := 0; v < n; v++ {
-				has := false
-				for _, w := range naive[u] {
-					if w == v {
-						has = true
-						break
-					}
-				}
-				if g.HasEdge(u, v) != has {
-					t.Fatalf("trial %d: HasEdge(%d,%d) = %v, want %v", trial, u, v, !has, has)
-				}
-			}
+		g, err := Bipartite(m, nc, seq)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if g.N() != m+nc {
+			t.Fatalf("trial %d: N = %d, want %d", trial, g.N(), m+nc)
+		}
+		checkAgainstNaive(t, trial, g, ng)
+		if len(pairs) == 0 {
+			continue
+		}
+		dup := pairs[rng.Intn(len(pairs))]
+		pairs = slices.Insert(pairs, rng.Intn(len(pairs)+1), dup)
+		if _, err := Bipartite(m, nc, seq); err == nil || !strings.Contains(err.Error(), "duplicate edge") {
+			t.Fatalf("trial %d: repeated pair %v: err = %v, want a duplicate-edge error", trial, dup, err)
 		}
 	}
 }

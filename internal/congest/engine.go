@@ -125,7 +125,6 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
 		}
 		crashed = make([]bool, len(nodes))
-		k.stagePositions(g)
 		k.del = newDelivery(k, &cfg, g, faultRng, crashed)
 	}
 

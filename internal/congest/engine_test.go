@@ -91,6 +91,18 @@ func TestBipartite(t *testing.T) {
 	}); err == nil {
 		t.Fatal("duplicate bipartite edge should fail")
 	}
+	// Bipartite reads its sequence twice; one that yields a different
+	// sequence the second time must fail, not leave a half-filled row.
+	passes := 0
+	if _, err := Bipartite(2, 2, func(yield func(i, j int) bool) {
+		passes++
+		if !yield(0, 0) || passes > 1 {
+			return
+		}
+		yield(1, 1)
+	}); !errors.Is(err, errChangedEdges) {
+		t.Fatalf("edge sequence that shrank on its second pass: err = %v, want errChangedEdges", err)
+	}
 }
 
 // pingNode floods a token: node 0 starts with it; every node that has seen

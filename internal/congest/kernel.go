@@ -14,14 +14,29 @@ import (
 // Env/arena setup, one compute walk, one drain and one inbox write
 // (deliver), so they cannot drift apart (invariant I5).
 type kernel struct {
+	g     *Graph
 	span  Span
 	nodes []Node
 	// envs holds the span's environments; node id's is envs[id-span.Lo].
 	envs []Env
 	// halted and inboxes are indexed by global node id; only span entries
 	// (and, under the fault pipeline, whatever it delivers) are touched.
+	// An inbox is allocated at its node's degree when its first message
+	// arrives; only fault paths (duplicates, delays, forgeries) can
+	// outgrow that.
 	halted  []bool
 	inboxes [][]Message
+	// staged is the round's send buffer. The compute walk runs nodes in
+	// ascending id order and Env.Send appends here, so each sender's
+	// messages form one contiguous run, the runs are in ascending sender
+	// order, and the drain walks them with one cursor. Under the fault
+	// pipeline stagedPos[i] is staged[i]'s recipient position in the
+	// sender's sorted row (the NeighborIndex order), so
+	// rowStart[From]+stagedPos[i] is the message's directed-edge slot,
+	// which the pipeline indexes its per-link state by; otherwise it stays
+	// empty.
+	staged    []Message
+	stagedPos []int32
 	// fr decides which nodes each round runs, drains and clears.
 	fr frontier
 	// dense makes the compute walk ignore SleepUntil (Config.Dense).
@@ -54,6 +69,7 @@ type kernel struct {
 func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 	n := g.N()
 	k := &kernel{
+		g:       g,
 		span:    span,
 		nodes:   nodes,
 		envs:    make([]Env, span.Len()),
@@ -75,6 +91,7 @@ func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 		*env = Env{
 			id:       id,
 			graph:    g,
+			k:        k,
 			seed:     nodeSeed(cfg.Seed, id),
 			bitLimit: cfg.BitLimit,
 			sentGen:  genAll[s:e:e],
@@ -92,17 +109,15 @@ func newKernel(g *Graph, nodes []Node, span Span, cfg Config) *kernel {
 	return k
 }
 
-// stagePositions gives every env of the span an outPos view into one flat
-// block with a slot per directed edge, partitioned by the CSR offsets like
-// sentGen, so Env.Send stages each message's sorted-row position for the
-// fault pipeline without allocating.
-func (k *kernel) stagePositions(g *Graph) {
-	base := g.rowStart[k.span.Lo]
-	all := make([]int32, g.rowStart[k.span.Hi]-base)
-	for i := range k.envs {
-		id := k.span.Lo + i
-		s, e := g.rowStart[id]-base, g.rowStart[id+1]-base
-		k.envs[i].outPos = all[s:s:e]
+// stage appends one message to the send buffer; pos is its recipient's
+// position in the sender's sorted row. The buffer grows by plain append:
+// forcing it to double on every growth sped nothing up measurably and
+// raised e2_lossy's peak heap by about 20%, because the overshoot of the
+// buffer's final growth stays live for the rest of the run.
+func (k *kernel) stage(msg Message, pos int) {
+	k.staged = append(k.staged, msg)
+	if k.del != nil {
+		k.stagedPos = append(k.stagedPos, int32(pos))
 	}
 }
 
@@ -125,6 +140,8 @@ func (k *kernel) compute(round int) {
 	fr := &k.fr
 	fr.admitWoken(round)
 	fr.senders = fr.senders[:0]
+	k.staged = k.staged[:0]
+	k.stagedPos = k.stagedPos[:0]
 	keep := fr.active[:0]
 	for _, id := range fr.active {
 		if k.halted[id] {
@@ -133,7 +150,7 @@ func (k *kernel) compute(round int) {
 		env := k.env(int(id))
 		env.beginRound()
 		h := k.nodes[id].Round(round, k.inboxes[id])
-		if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
+		if env.staged > 0 || env.sendErr != nil || env.rejected != 0 {
 			fr.senders = append(fr.senders, id)
 		}
 		if h {
@@ -154,35 +171,41 @@ func (k *kernel) compute(round int) {
 func (k *kernel) clearInboxes() { k.fr.clearInboxes(k.inboxes) }
 
 // drain is the deterministic merge: it walks the round's senders in
-// ascending id order, accounts every staged message, and routes it.
-// Because each sender stages at most one message per recipient per round
-// (enforced by Env.Send) and senders are walked in id order, every local
-// inbox comes out sorted by sender id with no per-inbox sort. The first
-// recorded send violation aborts the walk; the Stats keep the partial
-// accounting.
+// ascending id order, accounts every staged message, and routes it. The
+// send buffer holds each sender's messages as one run in that same order,
+// so a cursor finds them. Because each sender stages at most one message
+// per recipient per round (enforced by Env.Send) and senders are walked in
+// id order, every local inbox comes out sorted by sender id with no
+// per-inbox sort. The first recorded send violation aborts the walk; the
+// Stats keep the partial accounting.
 func (k *kernel) drain(round int) error {
 	k.delivered = k.delivered[:0]
 	k.remote = k.remote[:0]
+	next := 0
 	for _, id := range k.fr.senders {
-		if err := k.drainEnv(round, k.env(int(id))); err != nil {
+		env := k.env(int(id))
+		if err := k.drainEnv(round, env, next); err != nil {
 			return err
 		}
+		next += env.staged
 	}
 	return nil
 }
 
-// drainEnv drains one sender's staged state: message accounting, routing,
-// and the env's out/rejected resets. A message goes to exactly one place:
+// drainEnv drains one sender's staged state — its messages, which start at
+// send-buffer index first, and its rejected counter: message accounting,
+// routing, and the counter's reset. A message goes to exactly one place:
 // the fault pipeline when configured, else the recipient's inbox when it is
 // in the span, else the remote batch.
-func (k *kernel) drainEnv(round int, env *Env) error {
+func (k *kernel) drainEnv(round int, env *Env, first int) error {
 	if env.sendErr != nil {
 		return env.sendErr
 	}
-	if len(env.out) > 0 {
+	msgs := k.staged[first : first+env.staged]
+	if len(msgs) > 0 {
 		k.stats.Senders++
 	}
-	for i, msg := range env.out {
+	for i, msg := range msgs {
 		bits := msg.Bits()
 		k.stats.Messages++
 		k.stats.Bits += int64(bits)
@@ -191,17 +214,13 @@ func (k *kernel) drainEnv(round int, env *Env) error {
 		}
 		switch {
 		case k.del != nil:
-			k.del.transmit(round, msg, env.graph.rowStart[env.id]+int(env.outPos[i]))
+			k.del.transmit(round, msg, k.g.rowStart[env.id]+int(k.stagedPos[first+i]))
 		case k.span.Contains(msg.To):
 			k.deliver(msg, false)
 		default:
 			k.remote = append(k.remote, msg)
 		}
 	}
-	// A node that halts this round may have sent final messages; drain them
-	// so they are not re-counted on later rounds.
-	env.out = env.out[:0]
-	env.outPos = env.outPos[:0]
 	if env.rejected != 0 {
 		k.stats.Rejected += env.rejected
 		env.rejected = 0
@@ -223,11 +242,15 @@ func (k *kernel) deliver(msg Message, injected bool) {
 	if k.halted[msg.To] {
 		return
 	}
-	k.fr.noteRecipient(int32(msg.To), len(k.inboxes[msg.To]) == 0)
+	box := k.inboxes[msg.To]
+	k.fr.noteRecipient(int32(msg.To), len(box) == 0)
+	if cap(box) == 0 {
+		box = make([]Message, 0, k.g.Degree(msg.To))
+	}
 	if injected {
-		k.inboxes[msg.To] = insertByFrom(k.inboxes[msg.To], msg)
+		k.inboxes[msg.To] = insertByFrom(box, msg)
 	} else {
-		k.inboxes[msg.To] = append(k.inboxes[msg.To], msg)
+		k.inboxes[msg.To] = append(box, msg)
 	}
 	k.fr.wake(int32(msg.To))
 }
@@ -239,12 +262,12 @@ func (k *kernel) deliver(msg Message, injected bool) {
 // recipient outside the span, a sender inside it or not adjacent to the
 // recipient, or a second message on one link in one round. Sender ids in
 // an inbox are then unique, which is what makes the sort deterministic.
-func (k *kernel) ingest(g *Graph, in []Message) error {
+func (k *kernel) ingest(in []Message) error {
 	for _, msg := range in {
 		if !k.span.Contains(msg.To) {
 			return fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, k.span.Lo, k.span.Hi)
 		}
-		if _, ok := g.NeighborIndex(msg.To, msg.From); !ok || k.span.Contains(msg.From) {
+		if _, ok := k.g.NeighborIndex(msg.To, msg.From); !ok || k.span.Contains(msg.From) {
 			return fmt.Errorf("congest: transport delivered message to node %d from %d, which is not a remote neighbour", msg.To, msg.From)
 		}
 		if k.halted[msg.To] {

@@ -192,7 +192,7 @@ func RunShard(g *Graph, nodes []Node, span Span, cfg Config, tr Transport) (Stat
 		if err != nil {
 			return k.result(round+1, fmt.Errorf("congest: gather round %d: %w", round, err))
 		}
-		if err := k.ingest(g, in); err != nil {
+		if err := k.ingest(in); err != nil {
 			return k.result(round+1, err)
 		}
 	}

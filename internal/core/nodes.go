@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"dfl/internal/congest"
 	"dfl/internal/fl"
@@ -112,13 +111,12 @@ const facBufCap = 16
 // clamped by three-index slicing, so a pathological overflow reallocates
 // privately instead of corrupting a neighbour's region). This replaces
 // O(m) separate map/slice allocations with O(1) large ones and keeps each
-// facility's whole working set on adjacent cache lines.
+// facility's whole working set on adjacent cache lines. The id-sorted
+// (nodeSorted, posAt) index comes from indexByClient, in time linear in
+// the edge count.
 func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode {
 	m := inst.M()
-	total := 0
-	for i := 0; i < m; i++ {
-		total += len(inst.FacilityEdges(i))
-	}
+	total := inst.EdgeCount()
 	var (
 		store      = make([]facilityNode, m)
 		out        = make([]*facilityNode, m)
@@ -156,34 +154,63 @@ func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode 
 			buf:        bufAll[i*facBufCap : i*facBufCap : (i+1)*facBufCap],
 		}
 		for p, ed := range fes { // already sorted by ascending cost
-			node := int32(m + ed.To)
-			f.edgeNode[p] = node
+			f.edgeNode[p] = int32(m + ed.To)
 			f.edgeCost[p] = ed.Cost
-			f.nodeSorted[p] = node
-			f.posAt[p] = int32(p)
 			f.active[p] = true
 		}
-		sort.Sort(nodePosSort{f.nodeSorted, f.posAt})
 		out[i] = f
 		off = e
 	}
+	indexByClient(inst, nodeSorted, posAt)
 	return out
+}
+
+// indexByClient fills every facility's region of the flat nodeSorted and
+// posAt arrays: the facility's client node ids in ascending order, and the
+// cost-order edge position of each. It transposes the facility edge lists
+// twice through the client side instead of sorting each facility's list:
+// first every (facility, position) pair is scattered into its client's
+// bucket, walking facilities in ascending order, and then the buckets are
+// walked in ascending client order, appending each client to the regions
+// of the facilities in its bucket. Each region therefore fills in
+// ascending client id order.
+func indexByClient(inst *fl.Instance, nodeSorted, posAt []int32) {
+	m, nc := inst.M(), inst.NC()
+	type entry struct{ fac, pos int32 }
+	buckets := make([]entry, len(nodeSorted))
+	cur := make([]int, max(m, nc))
+	off := 0
+	for j := 0; j < nc; j++ {
+		cur[j] = off
+		off += len(inst.ClientEdges(j))
+	}
+	for i := 0; i < m; i++ {
+		for p, ed := range inst.FacilityEdges(i) {
+			buckets[cur[ed.To]] = entry{fac: int32(i), pos: int32(p)}
+			cur[ed.To]++
+		}
+	}
+	off = 0
+	for i := 0; i < m; i++ {
+		cur[i] = off
+		off += len(inst.FacilityEdges(i))
+	}
+	rest := buckets
+	for j := 0; j < nc; j++ {
+		deg := len(inst.ClientEdges(j))
+		for _, b := range rest[:deg] {
+			nodeSorted[cur[b.fac]] = int32(m + j)
+			posAt[cur[b.fac]] = b.pos
+			cur[b.fac]++
+		}
+		rest = rest[deg:]
+	}
 }
 
 // newFacilityNode builds the single facility i (test helper; production
 // runs use the batch struct-of-arrays constructor directly).
 func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityNode {
 	return newFacilityNodes(inst, cfg, d)[i]
-}
-
-// nodePosSort co-sorts a facility's (nodeSorted, posAt) pair by node id.
-type nodePosSort struct{ nodes, pos []int32 }
-
-func (s nodePosSort) Len() int           { return len(s.nodes) }
-func (s nodePosSort) Less(i, j int) bool { return s.nodes[i] < s.nodes[j] }
-func (s nodePosSort) Swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.pos[i], s.pos[j] = s.pos[j], s.pos[i]
 }
 
 // edgePos returns the edge position of the given client node id, the
@@ -572,7 +599,18 @@ type clientNode struct {
 	// sentry is the sender-quarantine layer (see quarantine.go); nil unless
 	// the run's fault schedule includes corruption or byzantine nodes.
 	sentry *sentry
+
+	// scratch is repairRound's id-list storage, shared by every client of
+	// one run (see newClientNodes).
+	scratch *repairScratch
 }
+
+// repairScratch holds the alive and open facility-id lists of one
+// repairRound call. The clients of a run share one: a kernel runs its
+// Round calls one at a time, and every Solve or SolveShard builds its own
+// clients, so no two calls ever use it at once. Nothing in it outlives the
+// call that fills it.
+type repairScratch struct{ alive, openF []int32 }
 
 var (
 	_ congest.Node        = (*clientNode)(nil)
@@ -580,11 +618,12 @@ var (
 )
 
 // newClientNodes builds every client state machine in one flat allocation;
-// clients carry no per-edge state, so a single contiguous store is the
-// whole struct-of-arrays story on this side.
+// clients carry no per-edge state, so a single contiguous store plus one
+// shared repair scratch is the whole struct-of-arrays story on this side.
 func newClientNodes(inst *fl.Instance, cfg Config, d Derived) []*clientNode {
 	store := make([]clientNode, inst.NC())
 	out := make([]*clientNode, inst.NC())
+	scratch := &repairScratch{}
 	for j := range store {
 		store[j] = clientNode{
 			inst:     inst,
@@ -593,6 +632,7 @@ func newClientNodes(inst *fl.Instance, cfg Config, d Derived) []*clientNode {
 			d:        d,
 			assigned: fl.Unassigned,
 			granted:  -1,
+			scratch:  scratch,
 		}
 		out[j] = &store[j]
 	}
@@ -795,12 +835,12 @@ func (c *clientNode) pickOffer(inbox []congest.Message) {
 func (c *clientNode) repairRound(inbox []congest.Message) {
 	// Inboxes arrive sorted by sender id, so one pass over the beacons
 	// yields the alive and open id lists already ascending; membership
-	// below is a binary search. This replaces the two per-call maps the
-	// old layout allocated here. Repeated beacons from one sender (wire
-	// duplication) fold by comparing against the list tail, preserving the
-	// map version's OR semantics for the open bit.
-	alive := make([]int32, 0, len(inbox))
-	openF := make([]int32, 0, len(inbox))
+	// below is a binary search. Both lists live in the run's shared
+	// scratch, so the pass allocates only while the scratch grows to the
+	// largest inbox. Repeated beacons from one sender (wire duplication)
+	// fold by comparing against the list tail, preserving the map
+	// version's OR semantics for the open bit.
+	alive, openF := c.scratch.alive[:0], c.scratch.openF[:0]
 	for _, msg := range inbox {
 		open, ok := decodeBeacon(msg.Payload)
 		if !ok {
@@ -816,6 +856,7 @@ func (c *clientNode) repairRound(inbox []congest.Message) {
 			}
 		}
 	}
+	c.scratch.alive, c.scratch.openF = alive, openF // keep any growth
 	if c.assigned != fl.Unassigned && sortedHas(openF, c.assigned) {
 		return // served: the assignment survived the faults
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dfl/internal/fl"
+	"dfl/internal/gen"
 )
 
 // benchFacility builds a facilityNode over one facility with nClients
@@ -68,3 +69,39 @@ func TestBenchFacilityIneligible(t *testing.T) {
 		t.Fatalf("bestClass = %d, want -1 (ineligible)", f.bestClass)
 	}
 }
+
+// BenchmarkSolveSetup measures solve setup at the e2_deep shape (800
+// facilities, 6400 clients, density 0.2): the communication graph build
+// and freeze, and the facility state machines with their id-sorted client
+// index. Node Init and the round kernel are not included.
+func BenchmarkSolveSetup(b *testing.B) {
+	inst, err := gen.Uniform{M: 800, NC: 6400, Density: 0.2, MinDegree: 3}.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{K: 16}.withDefaults()
+	d, err := Derive(inst, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("graph", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := buildGraph(inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Finalize()
+			setupSink = g
+		}
+	})
+	b.Run("facilities", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			setupSink = newFacilityNodes(inst, cfg, d)
+		}
+	})
+}
+
+// setupSink keeps BenchmarkSolveSetup's results alive.
+var setupSink any
